@@ -193,82 +193,42 @@ def _expm_herm(h: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)[None, :]) @ evecs.conj().T
 
 
-def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float,
-                 method: str) -> np.ndarray:
-    if method == "midpoint-exponential":
-        return _expm_herm(h_of_t(t + dt / 2), dt)
-    if method == "fourth-order-commutator-free":
-        h1 = h_of_t(t + _CF4_C[0] * dt)
-        h2 = h_of_t(t + _CF4_C[1] * dt)
-        a1, a2 = _CF4_A
-        u2 = _expm_herm(a2 * h1 + a1 * h2, dt)
-        u1 = _expm_herm(a1 * h1 + a2 * h2, dt)
-        return u1 @ u2
-    raise ValueError(f"unknown propagator method {method!r}")
+def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> np.ndarray:
+    """Fourth-order commutator-free step U(t + dt, t) for i d/dt psi = H(t) psi."""
+    h1 = h_of_t(t + _CF4_C[0] * dt)
+    h2 = h_of_t(t + _CF4_C[1] * dt)
+    a1, a2 = _CF4_A
+    u2 = _expm_herm(a2 * h1 + a1 * h2, dt)
+    u1 = _expm_herm(a1 * h1 + a2 * h2, dt)
+    return u1 @ u2
 
 
-@dataclass
-class DrivenPropagator:
-    """Piecewise product of step unitaries for i d/dt psi = H(t) psi."""
+def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: float,
+           observe: Callable[[float, np.ndarray], object]) -> list:
+    """Drive rho0 with H(t) = h_of_t(t) and return [observe(t, rho_t) for t in grid].
 
-    times: np.ndarray
-    unitaries: list  # unitaries[i] = U(times[i+1], times[i])
-    method: str
-
-    @classmethod
-    def build(cls, h_of_t, t0: float, t: float, dt: float,
-              method: str = "fourth-order-commutator-free") -> "DrivenPropagator":
-        if t < t0:
-            raise ValueError("t must be >= t0")
-        n = max(1, int(np.ceil((t - t0) / dt - 1e-12)))
-        times = np.linspace(t0, t, n + 1)
-        step = times[1] - times[0] if n else 0.0
-        us = [step_unitary(h_of_t, times[i], step, method) for i in range(n)]
-        return cls(times, us, method)
-
-    def total(self, upto: int | None = None) -> np.ndarray:
-        u = np.eye(len(self.unitaries[0]) if self.unitaries else 1, dtype=complex)
-        for v in self.unitaries[:upto]:
-            u = v @ u
-        return u
-
-
-def drive(state: GibbsState, h_of_t: Callable[[float], np.ndarray], t0: float,
-          t: float, dt: float, method: str = "fourth-order-commutator-free"):
-    """Evolve the Gibbs density matrix: rho_t = U(t, t0) rho U(t, t0)^dagger.
-
-    Returns (times, rhos) with rho sampled at every grid point.
+    Each gap [ta, tb] of the grid is split into the fewest equal steps no longer
+    than dt, so every grid time is hit exactly; rho_t = U rho U^dagger.
     """
-    prop = DrivenPropagator.build(h_of_t, t0, t, dt, method)
-    rho = state.density
-    rhos = [rho]
-    for u in prop.unitaries:
-        rho = u @ rho @ u.conj().T
-        rhos.append(rho)
-    return prop.times, rhos
-
-
-def drive_observable(state: GibbsState, h_of_t, t0: float, t: float, dt: float,
-                     obs: Callable[[float, np.ndarray], complex],
-                     method: str = "fourth-order-commutator-free"):
-    """Stream obs(time, rho_time) along the drive without storing all rhos."""
-    prop = DrivenPropagator.build(h_of_t, t0, t, dt, method)
-    rho = state.density
-    out = [obs(prop.times[0], rho)]
-    for i, u in enumerate(prop.unitaries):
-        rho = u @ rho @ u.conj().T
-        out.append(obs(prop.times[i + 1], rho))
-    return prop.times, out
+    grid = np.asarray(grid, dtype=float)
+    rho = rho0
+    out = [observe(grid[0], rho)]
+    for ta, tb in zip(grid[:-1], grid[1:]):
+        n = max(1, int(np.ceil((tb - ta) / dt - 1e-12)))
+        step = (tb - ta) / n
+        for j in range(n):
+            u = step_unitary(h_of_t, ta + j * step, step)
+            rho = u @ rho @ u.conj().T
+        out.append(observe(tb, rho))
+    return out
 
 
 def richardson_drive_check(state: GibbsState, h_of_t, t0: float, t: float, dt: float,
-                           obs_mat: np.ndarray, tol: float,
-                           method: str = "fourth-order-commutator-free") -> float:
+                           obs_mat: np.ndarray, tol: float) -> float:
     """|obs(dt) - obs(dt/2)| at the final time; raises StepSizeError above tol."""
-    vals = []
-    for step in (dt, dt / 2):
-        times, rhos = drive(state, h_of_t, t0, t, step, method)
-        vals.append(np.trace(rhos[-1] @ obs_mat))
+    vals = [evolve(state.density, h_of_t, [t0, t], step,
+                   lambda s, rho: np.trace(rho @ obs_mat))[-1]
+            for step in (dt, dt / 2)]
     diff = abs(vals[0] - vals[1])
     if diff > tol:
         raise StepSizeError(f"halving dt moves observable by {diff} > {tol}")
@@ -294,10 +254,21 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral on a uniform grid (Simpson on even prefixes,
+    trapezoid patch on odd ones); vals may carry trailing axes."""
+    out = np.zeros_like(vals, dtype=np.result_type(vals, 1.0))
+    for i in range(1, len(vals)):
+        if i % 2 == 0:
+            out[i] = out[i - 2] + h / 3.0 * (vals[i - 2] + 4 * vals[i - 1] + vals[i])
+        else:
+            out[i] = out[i - 1] + h / 2.0 * (vals[i - 1] + vals[i])
+    return out
+
+
 def work_functional(state: GibbsState, a_of_t: Callable[[float], np.ndarray],
                     t0: float, t: float, dt: float,
                     da_of_t: Callable[[float], np.ndarray] | None = None,
-                    method: str = "fourth-order-commutator-free",
                     h_unperturbed: np.ndarray | None = None) -> float:
     """L_t^A(rho) = int_{t0}^t rho_s(dA_s/ds) ds by composite Simpson.
 
@@ -316,11 +287,11 @@ def work_functional(state: GibbsState, a_of_t: Callable[[float], np.ndarray],
         def da_of_t(s, a_of_t=a_of_t, fd=fd):
             return (a_of_t(s + fd) - a_of_t(s - fd)) / (2 * fd)
 
-    times, vals = drive_observable(
-        state, h_of_t, t0, t, dt,
-        lambda s, rho: np.trace(rho @ da_of_t(s)).real, method)
-    h = times[1] - times[0] if len(times) > 1 else 0.0
-    w = _simpson_weights(len(times) - 1, h)
+    n = max(1, int(np.ceil((t - t0) / dt - 1e-12)))
+    times = np.linspace(t0, t, n + 1)
+    vals = evolve(state.density, h_of_t, times, dt,
+                  lambda s, rho: np.trace(rho @ da_of_t(s)).real)
+    w = _simpson_weights(n, times[1] - times[0])
     return float(np.dot(w, np.asarray(vals)))
 
 

@@ -12,6 +12,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +20,18 @@ import numpy as np
 from . import __version__
 from .cache import SpectralCache
 from .config import ExperimentConfig
-from .equilibrium import GibbsState, SpectralData, work_functional
-from .fock import FockRep, build_annihilators, anticommutator, opnorm
+from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
+                          work_functional)
+from .fock import FockRep, OperatorMatrix, build_annihilators, anticommutator, opnorm
 from .joule import energy_increments, joule_integrand_x
 from .lattice import Box, DisorderDistribution, shift
 from .levy import char_exponent, from_conductivity, sample_paths, validate_char
 from .measure import (cesaro_constant, cesaro_mean, drude_tail_compare, extract_measure,
                       levy_khintchine, mass_matched_drude)
-from .model import build_hamiltonian, full_interaction_norm, rescale
-from .transport import (TransportKernel, disorder_average, driven_currents,
-                        green_kubo_residual, ohm_linear, thermal_current, xi_p_l)
+from .model import InterparticleInteraction, build_hamiltonian, full_interaction_norm, rescale
+from .transport import (TransportKernel, current_obs, disorder_average, driven_currents,
+                        green_kubo_residual, ohm_linear, pulse_efield_and_integral,
+                        thermal_current)
 
 
 @dataclass
@@ -55,12 +58,14 @@ def build_system(cfg: ExperimentConfig, sample_index: int = 0,
     h = build_hamiltonian(rep, box, omega, m.theta, m.lam, m.ip())
     spectral = None
     cache = SpectralCache(cfg.run.cache_dir) if use_cache else None
+    # model_hash covers only the model block; the disorder kind changes H too
+    key = f"{cfg.model_hash()}:{cfg.disorder.kind}"
     if cache is not None:
-        spectral = cache.get(cfg.model_hash(), dist.seed)
-    if spectral is None or spectral.source_hash != SpectralData.from_hamiltonian(h).source_hash:
+        spectral = cache.get(key, dist.seed)
+    if spectral is None or spectral.source_hash != _hash_matrix(h.mat):
         spectral = SpectralData.from_hamiltonian(h)
         if cache is not None:
-            cache.put(cfg.model_hash(), dist.seed, spectral)
+            cache.put(key, dist.seed, spectral)
     state = GibbsState.of(spectral, m.beta)
     kernel = TransportKernel(rep, box, omega, m.theta, state)
     return System(cfg, box, rep, omega, spectral, state, kernel, sample_index)
@@ -138,20 +143,29 @@ def emit_plotdata(results: dict, kind: str, outdir: Path) -> list[Path]:
 
 def _series_for_sample(canonical_cfg: str, index: int):
     cfg = ExperimentConfig.from_dict(json.loads(canonical_cfg))
-    sys = build_system(cfg, index)
-    return xi_p_l(sys.kernel, cfg.run.times(), _provenance(cfg, {"sample": index}))
+    return _sample_series(cfg, build_system(cfg, index))
+
+
+def _sample_series(cfg: ExperimentConfig, system: System):
+    return system.kernel.series(cfg.run.times(),
+                                _provenance(cfg, {"sample": system.sample_index}))
 
 
 def run_transport(cfg: ExperimentConfig, outdir: Path):
     files, failures = [], []
     n = cfg.disorder.n_samples
     canon = cfg.canonical()
+    rest = range(1, n)
     if cfg.run.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
-            series = list(pool.map(_series_for_sample, [canon] * n, range(n)))
+            others = list(pool.map(_series_for_sample, [canon] * len(rest), rest))
     else:
-        series = [_series_for_sample(canon, i) for i in range(n)]
-    first = series[0]
+        others = [_series_for_sample(canon, i) for i in rest]
+    # sample 0 is built once, here, after the others so that only one System is
+    # alive at a time; it also feeds the thermal current and the gates
+    sys0 = build_system(cfg, 0)
+    first = _sample_series(cfg, sys0)
+    series = [first] + others
     path = outdir / "transport_sample0.csv"
     first.to_csv(path)
     files.append(path)
@@ -161,7 +175,6 @@ def run_transport(cfg: ExperimentConfig, outdir: Path):
         path = outdir / "transport_mean.csv"
         mean.to_csv(path)
         files.append(path)
-    sys0 = build_system(cfg, 0)
     jt = thermal_current(sys0.kernel)
     with open(outdir / "thermal_current.csv", "w") as fh:
         fh.write("axis,J_th\n")
@@ -190,7 +203,6 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
     w = np.asarray(f.w, dtype=float)
     # pulse end lands on an even Simpson panel edge
     times = f.t0 + (f.t1 - f.t0) * np.linspace(0.0, 1.4, 71)
-    from .transport import pulse_efield_and_integral
     efield, eint = pulse_efield_and_integral(a_base, w)
     j_lin, j_d_lin = ohm_linear(sys0.kernel, efield, w, times, eint)
     etas = sorted(cfg.field_.etas)
@@ -225,7 +237,7 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
     extr_err = float(np.linalg.norm(rich - j_lin[-1]))
     with open(outdir / "ohm_report.csv", "w") as fh:
         fh.write("quantity,value\n")
-        fh.write(f"remainder_order,{order!r}\n")
+        fh.write(f"remainder_order,{float(order)!r}\n")
         fh.write(f"richardson_vs_convolution,{extr_err!r}\n")
     files.append(outdir / "ohm_report.csv")
     if order < 1.9:
@@ -269,9 +281,9 @@ def run_joule(cfg: ExperimentConfig, outdir: Path):
     xx = xint.double_integral(times[-1])
     with open(outdir / "joule_report.csv", "w") as fh:
         fh.write("quantity,value\n")
-        fh.write(f"Ip_normalized,{ip_norm!r}\n")
-        fh.write(f"double_integral_X,{xx!r}\n")
-        fh.write(f"difference,{abs(ip_norm - xx)!r}\n")
+        fh.write(f"Ip_normalized,{float(ip_norm)!r}\n")
+        fh.write(f"double_integral_X,{float(xx)!r}\n")
+        fh.write(f"difference,{float(abs(ip_norm - xx))!r}\n")
     files.append(outdir / "joule_report.csv")
     return files, failures
 
@@ -375,10 +387,6 @@ DEFAULT_BATTERY = {
 
 
 def _battery_systems(cfg: ExperimentConfig):
-    from itertools import product
-    from .equilibrium import SpectralData
-    from .model import build_hamiltonian
-    from .transport import TransportKernel
     bat = DEFAULT_BATTERY
     # the battery is fixed: generic (complex-hopping) disorder regardless of
     # the config's production kind, keyed by the master seed
@@ -389,7 +397,6 @@ def _battery_systems(cfg: ExperimentConfig):
         box = Box.chain(n)
         rep = FockRep.of_box(box)
         omega = dist.derived(n).sample(box)
-        from .model import InterparticleInteraction
         ip = InterparticleInteraction(kind, U=1.0 if kind == "hubbard" else 0.0)
         h = build_hamiltonian(rep, box, omega, theta, lam, ip)
         state = GibbsState.of(SpectralData.from_hamiltonian(h), beta)
@@ -462,12 +469,10 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
     check("passivity-work-functional", worst_work >= -1e-9, f"min L = {worst_work:.2e}")
 
     # 32-sample disorder average on the 4-site member: stderr finite, mean sane
-    from .transport import xi_p_l as _xi
     ts = np.linspace(0.0, 5.0, 11)
 
     def builder(i):
-        sub = build_system(cfg_for_sample(cfg, 4), i)
-        return _xi(sub.kernel, ts)
+        return build_system(cfg_for_sample(cfg, 4), i).kernel.series(ts)
 
     def cfg_for_sample(base, n):
         sub = ExperimentConfig.from_dict(json.loads(base.canonical()))
@@ -493,7 +498,6 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
 
 
 def _random_local(rng, rep: FockRep):
-    from .fock import OperatorMatrix
     mats = rep._annihilator_mats
     i, j = rng.integers(0, rep.n_sites, size=2)
     c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -503,8 +507,6 @@ def _random_local(rng, rep: FockRep):
 
 
 def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
-    from .equilibrium import lieb_robinson_check
-    from .transport import current_obs
     files, failures = [], []
     sys0 = build_system(cfg, 0)
     box = sys0.box

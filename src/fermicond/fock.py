@@ -89,10 +89,6 @@ class OperatorMatrix:
         return opnorm_mat(self.mat - self.mat.conj().T) <= tol * max(1.0, opnorm_mat(self.mat))
 
 
-def adjoint(a: OperatorMatrix) -> OperatorMatrix:
-    return a.H
-
-
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     if a.dim != b.dim:
         raise ShapeMismatchError(f"{a.dim} != {b.dim}")
@@ -208,21 +204,3 @@ def bilinear(rep: FockRep, x, y, c: complex) -> OperatorMatrix:
 def time_reversal(rep: FockRep, a: OperatorMatrix) -> OperatorMatrix:
     """Antilinear morphism with T(a_x) = a_x: conjugation in the occupation basis."""
     return OperatorMatrix(a.mat.conj(), a.parity)
-
-
-def dump_matrix(a: OperatorMatrix, path) -> None:
-    """Debug dump: 8-byte little-endian dims header, then row-major
-    little-endian float64 (re, im) pairs."""
-    with open(path, "wb") as fh:
-        fh.write(np.array(a.mat.shape, dtype="<i4").tobytes())
-        inter = np.empty(a.mat.shape + (2,))
-        inter[..., 0] = a.mat.real
-        inter[..., 1] = a.mat.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def load_matrix(path) -> OperatorMatrix:
-    with open(path, "rb") as fh:
-        rows, cols = np.frombuffer(fh.read(8), dtype="<i4")
-        flat = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols, 2)
-    return OperatorMatrix(flat[..., 0] + 1j * flat[..., 1])

@@ -24,12 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .equilibrium import GibbsState, step_unitary, _simpson_weights
+from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, evolve
 from .fock import FockRep
 from .lattice import Box
-from .model import (InterparticleInteraction, VectorPotential, build_hamiltonian,
-                    build_w, check_field_margin, integrated_field, rescale)
-from .transport import TransportKernel
+from .model import (InterparticleInteraction, VectorPotential, bond_phase,
+                    build_hamiltonian, build_w, check_field_margin, integrated_field,
+                    rescale)
+from .transport import TransportKernel, ohm_linear, paramagnetic_partner_obs, \
+    pulse_efield_and_integral
 
 
 @dataclass
@@ -69,8 +71,7 @@ class EnergyTrace:
 def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
                       ip: InterparticleInteraction, state: GibbsState,
                       a_base: VectorPotential, eta: float, l: float, times,
-                      dt: float, method: str = "fourth-order-commutator-free",
-                      warn_margin: bool = True) -> EnergyTrace:
+                      dt: float, warn_margin: bool = True) -> EnergyTrace:
     """Drive with H + W_t(eta A_l) and record the four increments on the grid."""
     times = np.asarray(times, dtype=float)
     a_scaled = rescale(a_base, l, eta)
@@ -85,27 +86,18 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     def h_of_t(t):
         return h0 + w_mat(t)
 
-    nt = len(times)
-    S = np.zeros(nt)
-    P = np.zeros(nt)
-    Ip = np.zeros(nt)
-    Id = np.zeros(nt)
-    rho = state.density
-    if eta != 0.0:
-        for it in range(nt):
-            if it > 0:
-                ta, tb = times[it - 1], times[it]
-                n = max(1, int(np.ceil((tb - ta) / dt - 1e-12)))
-                step = (tb - ta) / n
-                for j in range(n):
-                    u = step_unitary(h_of_t, ta + j * step, step, method)
-                    rho = u @ rho @ u.conj().T
-            wt = w_mat(times[it])
-            S[it] = np.trace(rho @ h0).real - e_h0
-            P[it] = np.trace(rho @ wt).real
-            Id[it] = state.expect(wt).real
-            # independent route for the balance check S + P = Ip + Id
-            Ip[it] = np.trace(rho @ (h0 + wt)).real - (e_h0 + state.expect(wt).real)
+    def observe(t, rho):
+        wt = w_mat(t)
+        return (np.trace(rho @ h0).real - e_h0,  # S
+                np.trace(rho @ wt).real,  # P
+                # Ip by an independent route, for the balance check S + P = Ip + Id
+                np.trace(rho @ (h0 + wt)).real - (e_h0 + state.expect(wt).real),
+                state.expect(wt).real)  # Id
+
+    if eta == 0.0:
+        S, P, Ip, Id = np.zeros((4, len(times)))
+    else:
+        S, P, Ip, Id = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))
     prov = {"eta": eta, "l": l, "d": box.dim, "beta": state.beta, "theta": theta,
             "lambda": lam}
     return EnergyTrace(times, S, P, Ip, Id, eta, l, prov)
@@ -153,24 +145,8 @@ def joule_integrand_x(kernel: TransportKernel, a_base: VectorPotential, l: float
     scaling is external).
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    a_l = rescale(a_base, l, 1.0)
-    box = kernel.box
-    d = box.dim
-    bonds = list(box.bonds)
-    # field weights per time and bond (canonical orientation low -> high)
-    ew = np.zeros((len(s_grid), len(bonds)))
-    for it, s in enumerate(s_grid):
-        if a_l.is_off(s):
-            continue
-        for ib, b in enumerate(bonds):
-            ew[it, ib] = integrated_field(a_l, s, b)
-    # weighted currents in the eigenbasis per grid time
-    dimf = kernel.rep.dim
-    k_eig = np.zeros((len(s_grid), dimf, dimf), dtype=complex)
-    cur = [kernel.bond_current_eig(b) for b in bonds]
-    for it in range(len(s_grid)):
-        if np.any(ew[it]):
-            k_eig[it] = sum(ew[it, ib] * cur[ib] for ib in range(len(bonds)) if ew[it, ib])
+    d = kernel.box.dim
+    _, _, k_eig = _bond_field_weights(kernel, rescale(a_base, l, 1.0), s_grid)
     g = kernel.pair_weight
     nu = kernel.bohr
     reg = ~kernel._tiny
@@ -232,11 +208,9 @@ def flat_pulse_x_infinity(xi_fn, a_base: VectorPotential, w, s_grid) -> np.ndarr
     so int E_k E_q dx = (2 hw)^d eps(s1) eps(s2) w_k w_q."""
     s_grid = np.asarray(s_grid, dtype=float)
     w = np.asarray(w, dtype=float)
-    d = a_base.dim
-    vol = (2.0 * a_base.spatial_halfwidth) ** d
-    origin = np.zeros(d)
-    wnorm = w / np.dot(w, w)
-    eps = np.array([float(np.dot(a_base.electric(s, origin), wnorm)) for s in s_grid])
+    vol = (2.0 * a_base.spatial_halfwidth) ** a_base.dim
+    efield, _ = pulse_efield_and_integral(a_base, w)
+    eps = np.array([efield(s) for s in s_grid])
     ns = len(s_grid)
     out = np.zeros((ns, ns))
     diffs = {}
@@ -269,17 +243,10 @@ def joule_form_ip(kernel: TransportKernel, a_base: VectorPotential, w, times) ->
     J_p(s, x) = int_{t0}^s Xi_p(s-r) E(r, x) dr collapses to the volume factor
     times the scalar convolution.
     """
-    from .transport import ohm_linear
     times = np.asarray(times, dtype=float)
     w = np.asarray(w, dtype=float)
-    d = a_base.dim
-    vol = (2.0 * a_base.spatial_halfwidth) ** d
-    origin = np.zeros(d)
-    wnorm = w / np.dot(w, w)
-
-    def efield(s):
-        return float(np.dot(a_base.electric(s, origin), wnorm))
-
+    vol = (2.0 * a_base.spatial_halfwidth) ** a_base.dim
+    efield, _ = pulse_efield_and_integral(a_base, w)
     j_p, _ = ohm_linear(kernel, efield, w, times)
     integrand = np.array([efield(s) * float(w @ j_p[i]) for i, s in enumerate(times)])
     h = times[1] - times[0]
@@ -299,18 +266,16 @@ def diamagnetic_density(kernel: TransportKernel, a_base: VectorPotential, w, tim
     """
     times = np.asarray(times, dtype=float)
     w = np.asarray(w, dtype=float)
-    d = a_base.dim
-    vol = (2.0 * a_base.spatial_halfwidth) ** d
-    origin = np.zeros(d)
-    wnorm = w / np.dot(w, w)
-    eps = np.array([float(np.dot(a_base.electric(s, origin), wnorm)) for s in times])
-    from .transport import _cumulative_simpson
+    vol = (2.0 * a_base.spatial_halfwidth) ** a_base.dim
+    efield, _ = pulse_efield_and_integral(a_base, w)
+    eps = np.array([efield(s) for s in times])
     cum = _cumulative_simpson(eps, times[1] - times[0])
     return -vol * float(w @ kernel.xi_d() @ w) * 0.5 * cum ** 2
 
 
 def _bond_field_weights(kernel: TransportKernel, a_l: VectorPotential, s_grid):
-    """Integrated field per canonical bond and grid time."""
+    """Canonical bonds, their integrated field per grid time, and the
+    field-weighted current sum_b E_s(b) I_b in the eigenbasis per grid time."""
     bonds = list(kernel.box.bonds)
     ew = np.zeros((len(s_grid), len(bonds)))
     for it, s in enumerate(s_grid):
@@ -318,7 +283,13 @@ def _bond_field_weights(kernel: TransportKernel, a_l: VectorPotential, s_grid):
             continue
         for ib, b in enumerate(bonds):
             ew[it, ib] = integrated_field(a_l, s, b)
-    return bonds, ew
+    cur = [kernel.bond_current_eig(b) for b in bonds]
+    dimf = kernel.rep.dim
+    k_eig = np.zeros((len(s_grid), dimf, dimf), dtype=complex)
+    for it in range(len(s_grid)):
+        if np.any(ew[it]):
+            k_eig[it] = sum(ew[it, ib] * cur[ib] for ib in range(len(bonds)) if ew[it, ib])
+    return bonds, ew, k_eig
 
 
 def correction_term(kernel: TransportKernel, a_base: VectorPotential, l: float,
@@ -333,17 +304,11 @@ def correction_term(kernel: TransportKernel, a_base: VectorPotential, l: float,
     """
     times = np.asarray(times, dtype=float)
     a_l = rescale(a_base, l, 1.0)
-    bonds, ew = _bond_field_weights(kernel, a_l, times)
+    _, _, k_eig = _bond_field_weights(kernel, a_l, times)
     h = times[1] - times[0]
-    cur = [kernel.bond_current_eig(b) for b in bonds]
-    dimf = kernel.rep.dim
-    k_eig = np.zeros((len(times), dimf, dimf), dtype=complex)
-    for it in range(len(times)):
-        if np.any(ew[it]):
-            k_eig[it] = sum(ew[it, ib] * cur[ib] for ib in range(len(bonds)) if ew[it, ib])
     g, nu = kernel.pair_weight, kernel.bohr
     # cumulative field-weighted current: sum_b [int_{t0}^t E_s(b) ds] I_b
-    ka = _cumulative_simpson_matrix(k_eig, h)
+    ka = _cumulative_simpson(k_eig, h)
     out = np.zeros(len(times))
     for it, t in enumerate(times):
         if it == 0 or not np.any(ka[it]):
@@ -356,22 +321,10 @@ def correction_term(kernel: TransportKernel, a_base: VectorPotential, l: float,
     return out / l ** kernel.box.dim
 
 
-def _cumulative_simpson_matrix(vals: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(vals)
-    for i in range(1, len(vals)):
-        if i % 2 == 0:
-            out[i] = out[i - 2] + h / 3.0 * (vals[i - 2] + 4 * vals[i - 1] + vals[i])
-        else:
-            out[i] = out[i - 1] + h / 2.0 * (vals[i - 1] + vals[i])
-    return out
-
-
 def diamagnetic_density_exact(kernel: TransportKernel, a_base: VectorPotential,
                               l: float, times) -> np.ndarray:
     """Exact eta^2-coefficient of Id/(eta^2 l^d):
     -(1/2) l^-d sum_b phase_b(t)^2 rho(P_b)."""
-    from .model import bond_phase
-    from .transport import paramagnetic_partner_obs
     times = np.asarray(times, dtype=float)
     a_l = rescale(a_base, l, 1.0)
     box = kernel.box

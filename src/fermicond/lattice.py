@@ -124,11 +124,6 @@ class Box:
         return Box(self.dim, (shift(s, x) for s in self.sites))
 
 
-def build_box(spec: LatticeSpec) -> Box:
-    """Box for Lambda_l: lexicographic sites plus internal bonds."""
-    return Box.cube(spec)
-
-
 @dataclass
 class DisorderSample:
     """One realization: site values in [-1,1], bond values in the unit disc."""
@@ -251,18 +246,6 @@ class DisorderDistribution:
                 phi = rng.uniform(0.0, 2 * np.pi)
                 o2[b] = r * np.exp(1j * phi)
         return DisorderSample(box, o1, o2)
-
-
-def sample_disorder(dist: DisorderDistribution, spec: LatticeSpec) -> DisorderSample:
-    return dist.sample(build_box(spec))
-
-
-def translate_sample(omega: DisorderSample, x: Site) -> DisorderSample:
-    return omega.translate(x)
-
-
-def conjugate_sample(omega: DisorderSample) -> DisorderSample:
-    return omega.conjugate()
 
 
 def bond_count(d: int, l: int) -> int:

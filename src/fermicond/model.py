@@ -248,10 +248,6 @@ class VectorPotential:
         return t <= self.t0 or t >= self.t1
 
 
-def electric_field(a: VectorPotential, t: float, x) -> np.ndarray:
-    return a.electric(t, x)
-
-
 def _line_integral(fx: Callable[[float], float], tol: float = 1e-10) -> float:
     val, err = quad(fx, 0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=200)
     if err > 10 * tol + 1e-13 * abs(val):
@@ -332,19 +328,6 @@ def flat_pulse(dim: int, w, t0: float = 0.0, t1: float = 1.0,
         return -denv(t) * w if inside(x) else np.zeros(dim)
 
     return VectorPotential(dim, evaluator, t0, t1, halfwidth, analytic_e)
-
-
-def scalar_envelope(a: VectorPotential):
-    """(caligraphic A_t, E_t) of a flat pulse, sampled at the spatial origin."""
-    origin = np.zeros(a.dim)
-
-    def amp(t):
-        return a(t, origin)
-
-    def efield(t):
-        return a.electric(t, origin)
-
-    return amp, efield
 
 
 def rescale(a: VectorPotential, l: float, eta: float) -> VectorPotential:

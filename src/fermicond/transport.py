@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .equilibrium import GibbsState, duhamel_pair_eig
+from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
+    duhamel_pair_eig, evolve
 from .fock import FockRep, OperatorMatrix
 from .lattice import Box, DisorderSample, Site, shift
 from .model import VectorPotential, bond_phase, build_hamiltonian, build_w, \
@@ -276,14 +277,6 @@ class TransportKernel:
         return float(self.state.expect(mat).real)
 
 
-def xi_p_l(kernel: TransportKernel, times, provenance: Optional[dict] = None) -> TransportSeries:
-    return kernel.series(times, provenance)
-
-
-def xi_d_l(kernel: TransportKernel) -> np.ndarray:
-    return kernel.xi_d()
-
-
 def thermal_current(kernel: TransportKernel) -> np.ndarray:
     """J_th[k] = |Lambda|^-1 sum_x rho(I_(x+e_k, x))."""
     box, rep = kernel.box, kernel.rep
@@ -352,8 +345,7 @@ class CurrentDensityTrace:
 def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
                     a_scaled: VectorPotential, eta: float, times, dt: float,
-                    avg_box: Optional[Box] = None,
-                    method: str = "fourth-order-commutator-free") -> CurrentDensityTrace:
+                    avg_box: Optional[Box] = None) -> CurrentDensityTrace:
     """J_p and J_d along the driven evolution generated by H + W_t(eta * A_l)."""
     avg_box = avg_box if avg_box is not None else box
     times = np.asarray(times, dtype=float)
@@ -380,43 +372,18 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     def h_of_t(t):
         return h0 + build_w(rep, box, omega, theta, a_scaled, t).mat
 
-    # integrate segment by segment so each requested time is hit exactly
-    from .equilibrium import step_unitary
-    rho = state.density
-    j_p = np.zeros((len(times), box.dim))
-    j_d = np.zeros((len(times), box.dim))
-
-    def record(it, t, rho):
+    def observe(t, rho):
+        j_p, j_d = np.zeros(box.dim), np.zeros(box.dim)
         for k in range(box.dim):
-            j_p[it, k] = np.trace(rho @ para_ops[k]).real / vol - j_th[k]
+            j_p[k] = np.trace(rho @ para_ops[k]).real / vol - j_th[k]
             dia = sum(diamagnetic_obs(rep, box, b, omega, theta, a_scaled, t).mat
                       for b in bonds_per_axis[k])
             if isinstance(dia, np.ndarray):
-                j_d[it, k] = np.trace(rho @ dia).real / vol
+                j_d[k] = np.trace(rho @ dia).real / vol
+        return j_p, j_d
 
-    record(0, times[0], rho)
-    for it in range(1, len(times)):
-        ta, tb = times[it - 1], times[it]
-        n = max(1, int(np.ceil((tb - ta) / dt - 1e-12)))
-        step = (tb - ta) / n
-        for j in range(n):
-            u = step_unitary(h_of_t, ta + j * step, step, method)
-            rho = u @ rho @ u.conj().T
-        record(it, tb, rho)
+    j_p, j_d = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))
     return CurrentDensityTrace(times, j_th, j_p, j_d, eta)
-
-
-def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid (Simpson on even prefixes,
-    trapezoid patch on odd ones)."""
-    n = len(vals)
-    out = np.zeros(n)
-    for i in range(1, n):
-        if i % 2 == 0:
-            out[i] = out[i - 2] + h / 3.0 * (vals[i - 2] + 4 * vals[i - 1] + vals[i])
-        else:
-            out[i] = out[i - 1] + h / 2.0 * (vals[i - 1] + vals[i])
-    return out
 
 
 def ohm_linear(kernel: TransportKernel, efield: Callable[[float], float], w,
@@ -448,7 +415,6 @@ def ohm_linear(kernel: TransportKernel, efield: Callable[[float], float], w,
         xi_series = np.transpose(xi_series, (0, 2, 1))
     xi_diff = xi_series @ w  # (nt, d)
     j_p = np.zeros((len(times), d))
-    from .equilibrium import _simpson_weights
     for i in range(1, len(times)):
         kernel_vals = xi_diff[i::-1]  # Xi((t_i - t_j)) w for j = 0..i
         wts = _simpson_weights(i, h)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
-                                   DrivenPropagator, GibbsState, OverlappingSupportsError,
-                                   SpectralData, StepSizeError, drive, duhamel,
+                                   GibbsState, OverlappingSupportsError,
+                                   SpectralData, StepSizeError, duhamel, evolve,
                                    gibbs, heisenberg, imaginary_time,
                                    lieb_robinson_check, richardson_drive_check,
-                                   work_functional, _simpson_weights)
+                                   step_unitary, work_functional, _simpson_weights)
 from fermicond.fock import OperatorMatrix, opnorm
 from fermicond.model import DecayFunction, InterparticleInteraction, full_interaction_norm
 
@@ -132,25 +132,45 @@ def test_duhamel_vs_gauss_quadrature(rng):
 
 # -- driven propagator --------------------------------------------------------
 
+def _keep(t, rho):
+    return rho
+
+
 def test_drive_stationary_without_field():
     sys = make_system(4, "iid-uniform", seed=12, beta=1.0)
     h0 = sys["h"].mat
-    times, rhos = drive(sys["state"], lambda t: h0, 0.0, 1.0, 0.05)
+    rhos = evolve(sys["state"].density, lambda t: h0, np.linspace(0.0, 1.0, 21), 0.05, _keep)
     assert np.linalg.norm(rhos[-1] - sys["state"].density, 2) <= 1e-10
     for rho in rhos:
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
 
+def _exact(h, t, rho):
+    evals, evecs = np.linalg.eigh(h)
+    u = (evecs * np.exp(-1j * t * evals)[None, :]) @ evecs.conj().T
+    return u @ rho @ u.conj().T
+
+
 def test_drive_autonomous_matches_exponential(rng):
     sys = make_system(4, "iid-uniform", seed=13)
     pert = random_local(rng, sys["rep"], hermitian=True).mat
     h = sys["h"].mat + pert
-    times, rhos = drive(sys["state"], lambda t: h, 0.0, 0.8, 0.01)
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(-1j * 0.8 * evals)[None, :]) @ evecs.conj().T
-    oracle = u @ sys["state"].density @ u.conj().T
-    assert np.linalg.norm(rhos[-1] - oracle, 2) <= 1e-10
+    rho0 = sys["state"].density
+    rhos = evolve(rho0, lambda t: h, [0.0, 0.8], 0.01, _keep)
+    assert np.linalg.norm(rhos[-1] - _exact(h, 0.8, rho0), 2) <= 1e-10
+
+
+def test_evolve_hits_nonuniform_grid(rng):
+    # gaps of 0.013 .. 0.37 are no multiples of dt; each grid time is hit exactly
+    sys = make_system(4, "iid-uniform", seed=21)
+    h = sys["h"].mat + random_local(rng, sys["rep"], hermitian=True).mat
+    rho0 = sys["state"].density
+    grid = [0.0, 0.013, 0.1, 0.37, 0.5, 0.83, 1.2]
+    out = evolve(rho0, lambda t: h, grid, 0.05, lambda t, rho: (t, rho))
+    assert [t for t, _ in out] == grid
+    for t, rho in out:
+        assert np.linalg.norm(rho - _exact(h, t, rho0), 2) <= 1e-10
 
 
 def test_propagator_composition():
@@ -160,20 +180,17 @@ def test_propagator_composition():
     def h_of_t(t):
         return h0 * (1.0 + 0.2 * np.sin(t))
 
-    prop = DrivenPropagator.build(h_of_t, 0.0, 1.0, 0.05)
-    u_full = prop.total()
-    for u in prop.unitaries:
+    for j in range(20):
+        u = step_unitary(h_of_t, 0.05 * j, 0.05)
         assert np.linalg.norm(u @ u.conj().T - np.eye(len(u)), 2) <= 1e-12
-    half = prop.total(upto=10)
-    rest = np.eye(len(u_full), dtype=complex)
-    for v in prop.unitaries[10:]:
-        rest = v @ rest
-    assert np.linalg.norm(rest @ half - u_full, 2) <= 1e-12
+    rho0 = sys["state"].density
+    full = evolve(rho0, h_of_t, [0.0, 1.0], 0.05, _keep)[-1]
+    half = evolve(rho0, h_of_t, [0.0, 0.5], 0.05, _keep)[-1]
+    rest = evolve(half, h_of_t, [0.5, 1.0], 0.05, _keep)[-1]
+    assert np.linalg.norm(rest - full, 2) <= 1e-12
 
 
-@pytest.mark.parametrize("method,order", [("midpoint-exponential", 2),
-                                          ("fourth-order-commutator-free", 4)])
-def test_propagator_order(method, order, rng):
+def test_propagator_order(rng):
     sys = make_system(3, "iid-uniform", seed=15)
     h0 = sys["h"].mat
     pert = random_local(rng, sys["rep"], hermitian=True).mat
@@ -182,15 +199,16 @@ def test_propagator_order(method, order, rng):
         return h0 + np.sin(2.1 * t) * pert
 
     obs = random_local(rng, sys["rep"], hermitian=True).mat
-    ref_times, ref = drive(sys["state"], h_of_t, 0.0, 1.0, 1.0 / 512)
-    ref_val = np.trace(ref[-1] @ obs).real
-    errs = []
+
+    def final(dt):
+        rho = evolve(sys["state"].density, h_of_t, [0.0, 1.0], dt, _keep)[-1]
+        return np.trace(rho @ obs).real
+
+    ref_val = final(1.0 / 512)
     dts = [1.0 / 8, 1.0 / 16, 1.0 / 32]
-    for dt in dts:
-        _, rhos = drive(sys["state"], h_of_t, 0.0, 1.0, dt, method)
-        errs.append(abs(np.trace(rhos[-1] @ obs).real - ref_val))
+    errs = [abs(final(dt) - ref_val) for dt in dts]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert abs(slope - order) < 0.6
+    assert abs(slope - 4) < 0.6
 
 
 def test_richardson_check(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermicond.fock import (DimensionCapError, FockRep, OperatorMatrix,
-                            ShapeMismatchError, UnknownSiteError, adjoint,
+                            ShapeMismatchError, UnknownSiteError,
                             anticommutator, bilinear, build_annihilators,
                             commutator, opnorm, time_reversal)
 from fermicond.lattice import Box
@@ -30,7 +30,7 @@ def test_car_relations(n):
     for i in range(n):
         for j in range(n):
             assert opnorm(anticommutator(ann[i], ann[j])) <= 1e-12
-            d = anticommutator(ann[i], adjoint(ann[j])).mat - (i == j) * eye
+            d = anticommutator(ann[i], ann[j].H).mat - (i == j) * eye
             assert np.linalg.norm(d, 2) <= 1e-12
 
 
@@ -135,15 +135,3 @@ def test_adjoint_involution(rng):
     rep = FockRep.of_box(Box.chain(2))
     b = random_local(rng, rep)
     assert opnorm(b.H.H - b) == 0.0
-
-
-def test_binary_dump_round_trip(tmp_path, rng):
-    from fermicond.fock import dump_matrix, load_matrix
-    rep = FockRep.of_box(Box.chain(2))
-    b = random_local(rng, rep)
-    path = tmp_path / "op.bin"
-    dump_matrix(b, path)
-    back = load_matrix(path)
-    assert np.array_equal(back.mat, b.mat)
-    # header carries the dims, payload is little-endian float64 pairs
-    assert path.stat().st_size == 8 + 16 * b.dim ** 2

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -98,15 +97,47 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert str(cache.dir).endswith("envcache")
 
 
-def test_build_system_uses_cache(tmp_path):
+def _count_diagonalizations(monkeypatch):
+    calls = []
+    original = SpectralData.from_hamiltonian.__func__
+
+    def counted(cls, h):
+        calls.append(1)
+        return original(cls, h)
+
+    monkeypatch.setattr(SpectralData, "from_hamiltonian", classmethod(counted))
+    return calls
+
+
+def test_build_system_uses_cache(tmp_path, monkeypatch):
     cfg = ExperimentConfig.from_dict(BASE_CONFIG)
     cfg.run.cache_dir = str(tmp_path / "cache")
-    if "FERMICOND_CACHE_DIR" in os.environ:
-        del os.environ["FERMICOND_CACHE_DIR"]
+    monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
+    calls = _count_diagonalizations(monkeypatch)
     sys1 = build_system(cfg, 0)
+    assert len(calls) == 1
     sys2 = build_system(cfg, 0)
+    assert len(calls) == 1  # a hit is validated without a new eigendecomposition
     assert np.array_equal(sys1.spectral.eigenvalues, sys2.spectral.eigenvalues)
     assert SpectralCache(cfg.run.cache_dir).stats()["entries"] >= 1
+
+
+def test_cache_key_separates_disorder_kinds(tmp_path, monkeypatch):
+    monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
+    cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    cfg.run.cache_dir = str(tmp_path / "cache")
+    cfg.model.theta = 0.5
+    systems = {}
+    for kind in ("iid-uniform", "iid-real-hopping"):
+        cfg.disorder.kind = kind
+        systems[kind] = build_system(cfg, 0)
+    assert SpectralCache(cfg.run.cache_dir).stats()["entries"] == 2
+    calls = _count_diagonalizations(monkeypatch)
+    for kind, first in systems.items():
+        cfg.disorder.kind = kind
+        again = build_system(cfg, 0)
+        assert np.array_equal(again.spectral.eigenvalues, first.spectral.eigenvalues)
+    assert calls == []
 
 
 def test_unknown_experiment(tmp_path):
@@ -236,3 +267,16 @@ def test_experiment_smoke(tmp_path, monkeypatch, experiment, overrides):
     manifest = run_experiment(experiment, cfg, tmp_path / "out")
     assert manifest["gate_failures"] == [], manifest["gate_failures"]
     assert manifest["files"]
+
+
+def test_report_csvs_plain_floats(tmp_path, monkeypatch):
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    for experiment, overrides in (("ohm", {"model.sites": 4}),
+                                  ("joule", {"model.sites": 5, "field.scale": 1.0})):
+        cfg = ExperimentConfig.load(write_config(tmp_path, overrides, f"{experiment}.json"))
+        run_experiment(experiment, cfg, tmp_path / experiment)
+        lines = (tmp_path / experiment / f"{experiment}_report.csv").read_text().splitlines()
+        assert lines[0] == "quantity,value"
+        for line in lines[1:]:
+            name, value = line.split(",")
+            float(value)  # raises on reprs such as np.float64(1.9)

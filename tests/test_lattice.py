@@ -6,24 +6,23 @@ from scipy import stats
 
 from fermicond.lattice import (Box, DisorderDistribution, DisorderSample,
                                DomainExceededError, LatticeSpec, bond_count,
-                               build_box, canonical_bond, conjugate_sample,
-                               sample_disorder, translate_sample)
+                               canonical_bond)
 
 
 def test_chain_l1():
-    box = build_box(LatticeSpec(1, 1))
+    box = Box.cube(LatticeSpec(1, 1))
     assert box.sites == ((-1,), (0,), (1,))
     assert box.bonds == (((-1,), (0,)), ((0,), (1,)))
 
 
 def test_square_l1_counts():
-    box = build_box(LatticeSpec(2, 1))
+    box = Box.cube(LatticeSpec(2, 1))
     assert len(box.sites) == 9
     assert len(box.bonds) == 12
 
 
 def test_cube_l2_sites():
-    assert len(build_box(LatticeSpec(3, 2))) == 125
+    assert len(Box.cube(LatticeSpec(3, 2))) == 125
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -31,7 +30,7 @@ def test_cube_l2_sites():
 def test_bond_count_vs_enumeration(d, l):
     if d == 3 and l == 3:
         pytest.skip("343-site box is slow to enumerate in CI")
-    box = build_box(LatticeSpec(d, l))
+    box = Box.cube(LatticeSpec(d, l))
     assert len(box.bonds) == bond_count(d, l)
     # every bond joins sites at Euclidean distance exactly 1
     for x, y in box.bonds:
@@ -57,7 +56,7 @@ def test_invalid_spec():
 
 
 def test_deterministic_zero():
-    s = sample_disorder(DisorderDistribution("deterministic-zero", 1), LatticeSpec(1, 2))
+    s = DisorderDistribution("deterministic-zero", 1).sample(Box.cube(LatticeSpec(1, 2)))
     assert all(v == 0.0 for v in s.omega1.values())
     assert all(z == 0 for z in s.omega2.values())
 
@@ -65,10 +64,10 @@ def test_deterministic_zero():
 def test_sampling_deterministic():
     spec = LatticeSpec(2, 2)
     d = DisorderDistribution("iid-uniform", 777)
-    s1, s2 = sample_disorder(d, spec), sample_disorder(d, spec)
+    s1, s2 = d.sample(Box.cube(spec)), d.sample(Box.cube(spec))
     assert s1.omega1 == s2.omega1
     assert s1.omega2 == s2.omega2
-    s3 = sample_disorder(DisorderDistribution("iid-uniform", 778), spec)
+    s3 = DisorderDistribution("iid-uniform", 778).sample(Box.cube(spec))
     assert s1.omega1 != s3.omega1
 
 
@@ -97,8 +96,8 @@ def test_unknown_kind():
 
 def test_translate_identity_and_inverse():
     s = DisorderDistribution("iid-uniform", 3).sample(Box.chain(7))
-    assert translate_sample(s, (0,)).omega1 == s.omega1
-    back = translate_sample(translate_sample(s, (2,)), (-2,))
+    assert s.translate((0,)).omega1 == s.omega1
+    back = s.translate((2,)).translate((-2,))
     assert back.omega1 == s.omega1
     assert back.omega2 == s.omega2
 
@@ -108,14 +107,14 @@ def test_translate_spike():
     o1 = {x: 0.0 for x in box.sites}
     o1[(0,)] = 1.0
     s = DisorderSample(box, o1, {})
-    t = translate_sample(s, (1,))
+    t = s.translate((1,))
     assert t.omega1[(-1,)] == 1.0
     assert all(v == 0.0 for x, v in t.omega1.items() if x != (-1,))
 
 
 def test_translate_values_match_source():
     s = DisorderDistribution("iid-uniform", 3).sample(Box.chain(7))
-    t = translate_sample(s, (1,))
+    t = s.translate((1,))
     for y in t.box.sites:
         assert t.omega1[y] == s.omega1[(y[0] + 1,)]
 
@@ -140,13 +139,13 @@ def test_translation_invariance_of_law():
 
 def test_conjugate_involution_and_fixed_points():
     s = DisorderDistribution("iid-uniform", 13).sample(Box.chain(20))
-    assert conjugate_sample(conjugate_sample(s)).omega2 == s.omega2
+    assert s.conjugate().conjugate().omega2 == s.omega2
     r = DisorderDistribution("iid-real-hopping", 13).sample(Box.chain(20))
-    assert conjugate_sample(r).omega2 == r.omega2
+    assert r.conjugate().omega2 == r.omega2
     box = Box.chain(2)
     b = box.bonds[0]
     s2 = DisorderSample(box, {}, {b: 1j})
-    assert conjugate_sample(s2).omega2[b] == -1j
+    assert s2.conjugate().omega2[b] == -1j
 
 
 def test_conjugate_preserves_law():

@@ -9,7 +9,7 @@ from fermicond.lattice import Box, DisorderDistribution, DisorderSample, Lattice
 from fermicond.model import (BoundaryProximityWarning, DecayFunction,
                              InterparticleInteraction, VectorPotential,
                              bond_phase, build_hamiltonian, build_hopping, build_w,
-                             check_field_margin, decay_checks, electric_field,
+                             check_field_margin, decay_checks,
                              flat_pulse, full_interaction_norm, integrated_field,
                              interaction_norm, peierls_hopping, potential_diagonal,
                              rescale, w_time_derivative)
@@ -104,7 +104,7 @@ def test_electric_field_analytic_vs_fd():
         fd = a.electric_fd(t, [0.0])
         an = a.electric(t, [0.0])
         assert abs(fd[0] - an[0]) <= 1e-8
-    assert np.all(electric_field(a, 5.0, [0.0]) == 0.0)
+    assert np.all(a.electric(5.0, [0.0]) == 0.0)
 
 
 def test_ac_condition():

@@ -11,8 +11,7 @@ from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_
 from fermicond.transport import (CurrentDensityTrace, NotABondError, TransportKernel,
                                  current_obs, diamagnetic_obs, disorder_average,
                                  driven_currents, fluctuation, green_kubo_residual,
-                                 ohm_linear, paramagnetic_partner_obs, thermal_current,
-                                 xi_d_l, xi_p_l)
+                                 ohm_linear, paramagnetic_partner_obs, thermal_current)
 
 from conftest import make_system, nn_interaction, random_local
 
@@ -150,9 +149,9 @@ def test_xi_p_l_basics():
 def test_xi_series_and_csv(tmp_path):
     sys = make_system(4, "iid-uniform", seed=6, theta=0.2)
     ts = np.linspace(-2, 2, 9)
-    series = xi_p_l(sys["kernel"], ts, {"seed": 6, "l": 4})
+    series = sys["kernel"].series(ts, {"seed": 6, "l": 4})
     assert series.xi_p.shape == (9, 1, 1)
-    assert np.all(series.xi_d == xi_d_l(sys["kernel"]))
+    assert np.all(series.xi_d == sys["kernel"].xi_d())
     path = tmp_path / "xi.csv"
     series.to_csv(path)
     text = path.read_text().splitlines()
@@ -163,7 +162,7 @@ def test_xi_series_and_csv(tmp_path):
 def test_xi_d_free_fermion_oracle():
     # clean chain at beta=1: one-particle occupation-number oracle
     sys = make_system(6, "deterministic-zero", seed=0, beta=1.0)
-    val = xi_d_l(sys["kernel"])[0, 0]
+    val = sys["kernel"].xi_d()[0, 0]
     h1 = build_hopping(sys["box"], sys["omega"], 0.0)
     f = np.linalg.inv(np.eye(6) + expm(1.0 * h1))  # <a_i^dag a_j> = f_{ji}
     tot = 0.0
@@ -181,7 +180,7 @@ def test_xi_d_free_fermion_oracle():
 
 def test_xi_d_beta_zero():
     sys = make_system(5, "iid-uniform", seed=7, beta=0.0)
-    assert np.abs(xi_d_l(sys["kernel"])).max() <= 1e-13
+    assert np.abs(sys["kernel"].xi_d()).max() <= 1e-13
 
 
 def test_disorder_average_properties():
@@ -189,7 +188,7 @@ def test_disorder_average_properties():
 
     def builder_zero(i):
         sys = make_system(3, "deterministic-zero", seed=i)
-        return xi_p_l(sys["kernel"], ts)
+        return sys["kernel"].series(ts)
 
     mean = disorder_average(builder_zero, 3)
     single = builder_zero(0)
@@ -203,7 +202,7 @@ def test_disorder_average_properties():
             om = DisorderDistribution("iid-uniform", master).derived(i).sample(box)
             h = build_hamiltonian(rep, box, om, 0.5, 1.0, InterparticleInteraction("none"))
             st = GibbsState.of(SpectralData.from_hamiltonian(h), 1.0)
-            return xi_p_l(TransportKernel(rep, box, om, 0.5, st), ts)
+            return TransportKernel(rep, box, om, 0.5, st).series(ts)
         return inner
 
     # stderr ~ 1/sqrt(n): slope fit over n in {8, 32, 128}
@@ -348,12 +347,13 @@ def test_continuity_equation():
     def h_of_t(t):
         return h0 + build_w(rep, box, omega, 0.4, a, t).mat
 
-    from fermicond.equilibrium import drive
+    from fermicond.equilibrium import evolve
     t_probe, dt = 0.6, 0.005
-    times, rhos = drive(sys["state"], h_of_t, 0.0, t_probe + dt, dt)
+    i_probe = int(round(t_probe / dt))
+    rhos = evolve(sys["state"].density, h_of_t, np.linspace(0.0, t_probe + dt, i_probe + 2),
+                  dt, lambda t, rho: rho)
     x = (0,)
     n_x = rep.number(x).mat
-    i_probe = int(round(t_probe / dt))
     dn_dt = (np.trace(rhos[i_probe + 1] @ n_x).real
              - np.trace(rhos[i_probe - 1] @ n_x).real) / (2 * dt)
     # full currents from the time-dependent hopping matrix at t_probe
