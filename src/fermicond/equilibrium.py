@@ -52,8 +52,10 @@ class SpectralData:
     @classmethod
     def from_hamiltonian(cls, h: OperatorMatrix | np.ndarray) -> "SpectralData":
         mat = h.mat if isinstance(h, OperatorMatrix) else np.asarray(h)
-        herm_defect = opnorm_mat(mat - mat.conj().T)
-        if herm_defect > 1e-10 * max(1.0, opnorm_mat(mat)):
+        # Frobenius defect against the largest entry: never looser than the
+        # spectral-norm test (||D||_2 <= ||D||_F, max|H_ij| <= ||H||_2), no SVD
+        herm_defect = float(np.linalg.norm(mat - mat.conj().T))
+        if herm_defect > 1e-10 * max(1.0, float(np.abs(mat).max(initial=0.0))):
             raise DiagonalizationError(f"matrix not self-adjoint (defect {herm_defect})")
         try:
             evals, evecs = np.linalg.eigh(mat)

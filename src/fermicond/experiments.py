@@ -22,10 +22,12 @@ from .cache import SpectralCache
 from .config import ExperimentConfig
 from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
                           work_functional)
-from .fock import FockRep, OperatorMatrix, build_annihilators, anticommutator, opnorm
+from .fock import (FockRep, OperatorMatrix, anticommutator, bilinear, build_annihilators,
+                   opnorm)
 from .joule import energy_increments, joule_integrand_x
 from .lattice import Box, DisorderDistribution, shift
-from .levy import char_exponent, from_conductivity, sample_paths, validate_char
+from .levy import (AnisotropyError, char_exponent, from_conductivity, sample_paths,
+                   validate_char)
 from .measure import (cesaro_constant, cesaro_mean, drude_tail_compare, extract_measure,
                       levy_khintchine, mass_matched_drude)
 from .model import InterparticleInteraction, build_hamiltonian, full_interaction_norm, rescale
@@ -352,7 +354,12 @@ def run_levy(cfg: ExperimentConfig, outdir: Path):
     meas = extract_measure(sys0.kernel, _provenance(cfg))
     w = np.zeros(cfg.model.d)
     w[0] = 1.0
-    triple = from_conductivity(meas, w, sys0.kernel.xi_minus_sup())
+    try:
+        triple = from_conductivity(meas, w, sys0.kernel.xi_minus_sup())
+    except AnisotropyError as exc:
+        failures.append(f"anisotropy gate: sup_t ||[Xi_p]_-|| = {exc.value!r} exceeds "
+                        f"threshold {exc.threshold!r}; no Levy triple built")
+        return files, failures
     times = cfg.run.times()
     rec = char_exponent(triple, times)
     direct = np.einsum("k,tkq,q->t", w, sys0.kernel.xi_plus(times), w)
@@ -498,10 +505,9 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
 
 
 def _random_local(rng, rep: FockRep):
-    mats = rep._annihilator_mats
-    i, j = rng.integers(0, rep.n_sites, size=2)
+    x, y = (rep.site_order[k] for k in rng.integers(0, rep.n_sites, size=2))
     c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    m = c1 * mats[i].conj().T @ mats[j] + c2 * mats[j].conj().T @ mats[i]
+    m = (bilinear(rep, x, y, c1) + bilinear(rep, y, x, c2)).mat
     m = m + m.conj().T @ m * 0.1
     return OperatorMatrix(m)
 
@@ -567,18 +573,24 @@ def run_time_reversal(cfg: ExperimentConfig, outdir: Path):
 
 def run_green_kubo(cfg: ExperimentConfig, outdir: Path):
     files, failures = [], []
-    resids = []
+    if cfg.model.d != 1:
+        failures.append("green-kubo sweeps chains of 3, 5 and 7 sites; a "
+                        f"d={cfg.model.d} config has no such family, no residuals computed")
+        return files, failures
+    sizes, resids = [], []
     times = np.linspace(0.0, 5.0, 21)
     for n_sites in (3, 5, 7):
         sub = ExperimentConfig.from_dict(json.loads(cfg.canonical()))
         sub.model.sites = n_sites
         sub.model.l = None
+        sub.model.shape = None
         sysl = build_system(sub, 0)
+        sizes.append(len(sysl.box.sites))
         resids.append(green_kubo_residual(sysl.kernel, times)["max_residual"])
     path = outdir / "green_kubo.csv"
     with open(path, "w") as fh:
         fh.write("l,sites,max_residual\n")
-        for l, (n, r) in enumerate(zip((3, 5, 7), resids), start=1):
+        for l, (n, r) in enumerate(zip(sizes, resids), start=1):
             fh.write(f"{l},{n},{r!r}\n")
     files.append(path)
     if not (resids[0] > resids[1] > resids[2]):

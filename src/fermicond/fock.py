@@ -5,6 +5,10 @@ site_order[0] is the most significant bit.  Annihilators are built with the
 usual fermionic string construction (Z x ... x Z x s- x 1 x ... x 1), which
 makes every generator a real matrix; the antilinear time-reversal map that
 fixes all a_x is then entry-wise complex conjugation in this basis.
+
+Even operators are assembled from the occupation bits of the basis index
+instead: a_x^* a_y is a signed partial permutation (FockRep.hop) and number
+operators are diagonals.  The string matrices stay as the algebra's oracle.
 """
 
 from __future__ import annotations
@@ -150,6 +154,35 @@ class FockRep:
             ops.append(m.astype(complex))
         return ops
 
+    @cached_property
+    def _states(self) -> np.ndarray:
+        return np.arange(self.dim)
+
+    def _bit(self, mode: int) -> int:
+        return 1 << (self.n_sites - 1 - mode)
+
+    def occupied(self, site) -> np.ndarray:
+        """Boolean mask of the basis states in which site is occupied."""
+        return (self._states & self._bit(self.mode(site))) != 0
+
+    def hop(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero entries of a_x^* a_y as (rows, cols, signs).
+
+        Column s contributes where y is occupied and x is empty (or s occupies
+        x when x == y); its row is s with both bits flipped and its sign is the
+        Jordan-Wigner parity of the occupied modes strictly between x and y.
+        """
+        i, j = self.mode(x), self.mode(y)
+        s = self._states
+        if i == j:
+            cols = s[self.occupied(x)]
+            return cols, cols, np.ones(len(cols))
+        bx, by = self._bit(i), self._bit(j)
+        cols = s[((s & by) != 0) & ((s & bx) == 0)]
+        between = self._bit(min(i, j)) - 2 * self._bit(max(i, j))
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & between) & 1)
+        return cols ^ (bx | by), cols, signs
+
     def annihilator(self, site) -> OperatorMatrix:
         return OperatorMatrix(self._annihilator_mats[self.mode(site)], "odd")
 
@@ -163,19 +196,15 @@ class FockRep:
         return OperatorMatrix(np.zeros((self.dim, self.dim)), "even")
 
     def number(self, site) -> OperatorMatrix:
-        a = self._annihilator_mats[self.mode(site)]
-        return OperatorMatrix(a.conj().T @ a, "even")
+        return OperatorMatrix(np.diag(self.occupied(site).astype(float)), "even")
 
     def total_number(self) -> OperatorMatrix:
-        n = sum(m.conj().T @ m for m in self._annihilator_mats)
-        return OperatorMatrix(n, "even")
+        return OperatorMatrix(np.diag(np.bitwise_count(self._states).astype(float)), "even")
 
     def parity_operator(self) -> OperatorMatrix:
         """(-1)^N as a diagonal matrix."""
-        m = np.array([[1.0]])
-        for _ in range(self.n_sites):
-            m = np.kron(m, _SZ)
-        return OperatorMatrix(m, "even")
+        return OperatorMatrix(np.diag(1.0 - 2.0 * (np.bitwise_count(self._states) & 1)),
+                              "even")
 
     def parity_of(self, mat: np.ndarray, tol: float = 1e-12) -> str:
         """Classify a matrix as even/odd/mixed against (-1)^N."""
@@ -196,9 +225,10 @@ def build_annihilators(rep: FockRep) -> list[OperatorMatrix]:
 
 def bilinear(rep: FockRep, x, y, c: complex) -> OperatorMatrix:
     """c * a_x^dagger a_y (even for every coefficient)."""
-    ax = rep._annihilator_mats[rep.mode(x)]
-    ay = rep._annihilator_mats[rep.mode(y)]
-    return OperatorMatrix(c * (ax.conj().T @ ay), "even")
+    rows, cols, signs = rep.hop(x, y)
+    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    m[rows, cols] = c * signs
+    return OperatorMatrix(m, "even")
 
 
 def time_reversal(rep: FockRep, a: OperatorMatrix) -> OperatorMatrix:

@@ -22,7 +22,13 @@ from .measure import DrudeSpec, MatrixMeasure, drude_density
 
 
 class AnisotropyError(Exception):
-    pass
+    """The antisymmetric part of Xi_p exceeds the isotropy threshold."""
+
+    def __init__(self, value: float, threshold: float):
+        self.value, self.threshold = value, threshold
+        super().__init__(
+            f"sup_t ||[Xi_p]_-|| = {value} exceeds {threshold}; "
+            "the scalar-exponent construction needs an isotropic conductivity")
 
 
 @dataclass
@@ -70,9 +76,7 @@ def from_conductivity(measure: MatrixMeasure, w, xi_minus_sup: float = 0.0,
     (the isotropic-form assumption); pass the computed sup_t ||[Xi_p]_-||.
     """
     if xi_minus_sup > tol:
-        raise AnisotropyError(
-            f"sup_t ||[Xi_p]_-|| = {xi_minus_sup} exceeds {tol}; "
-            "the scalar-exponent construction needs an isotropic conductivity")
+        raise AnisotropyError(xi_minus_sup, tol)
     nus, ac, zero = measure.directional(w)
     keep = ac > 0.0
     return LevyTriple(D0=zero, nus=nus[keep], weights=ac[keep])

@@ -411,32 +411,25 @@ def peierls_hopping(hop: np.ndarray, box: Box, a: VectorPotential, t: float) -> 
 def _quadratic(rep: FockRep, box: Box, one_particle: np.ndarray) -> np.ndarray:
     """sum_{x,y} M_{xy} a_x^dagger a_y over the nonzero entries of M."""
     h = np.zeros((rep.dim, rep.dim), dtype=complex)
-    mats = rep._annihilator_mats
-    n = len(box.sites)
-    for i in range(n):
-        ai = mats[rep.mode(box.sites[i])]
-        for j in range(n):
-            c = one_particle[i, j]
-            if c != 0:
-                aj = mats[rep.mode(box.sites[j])]
-                h += c * (ai.conj().T @ aj)
+    sites = box.sites
+    for i, j in zip(*np.nonzero(one_particle)):
+        rows, cols, signs = rep.hop(sites[i], sites[j])
+        h[rows, cols] += one_particle[i, j] * signs
     return h
 
 
 def interaction_matrix(rep: FockRep, box: Box, ip: InterparticleInteraction) -> np.ndarray:
     """Sum of the interparticle terms (diagonal in the occupation basis)."""
-    h = np.zeros((rep.dim, rep.dim), dtype=complex)
     if ip.kind == "density-density":
         l_box = max(abs(c) for s in box.sites for c in s)
         if ip.range_ > 2 * l_box + 1:
             raise RangeExceedsBoxError(
                 f"interaction range {ip.range_} exceeds box extent {2 * l_box + 1}")
+    diag = np.zeros(rep.dim, dtype=complex)
     for supp, c in ip.pair_terms(box):
-        term = np.eye(rep.dim, dtype=complex)
-        for s in supp:
-            term = term @ rep.number(s).mat
-        h += c * term
-    return h
+        occupied = np.logical_and.reduce([rep.occupied(s) for s in supp])
+        diag[occupied] += c
+    return np.diag(diag)
 
 
 def build_hamiltonian(rep: FockRep, box: Box, omega: DisorderSample, theta: float,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
     duhamel_pair_eig, evolve
-from .fock import FockRep, OperatorMatrix
+from .fock import FockRep, OperatorMatrix, bilinear
 from .lattice import Box, DisorderSample, Site, shift
 from .model import VectorPotential, bond_phase, build_hamiltonian, build_w, \
     InterparticleInteraction
@@ -45,22 +45,14 @@ def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Si
 
 def current_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: float) -> OperatorMatrix:
     """I_x = -2 Im(<e_x1, Delta e_x2> a_x1^* a_x2) = i(c a1* a2 - conj(c) a2* a1)."""
-    x1, x2 = bond
-    c = _hopping_entry(box, omega, theta, x1, x2)
-    a1 = rep._annihilator_mats[rep.mode(x1)]
-    a2 = rep._annihilator_mats[rep.mode(x2)]
-    m = c * (a1.conj().T @ a2)
+    m = bilinear(rep, *bond, _hopping_entry(box, omega, theta, *bond)).mat
     return OperatorMatrix(1j * (m - m.conj().T), "even")
 
 
 def paramagnetic_partner_obs(rep: FockRep, box: Box, bond, omega: DisorderSample,
                              theta: float) -> OperatorMatrix:
     """P_x = 2 Re(<e_x1, Delta e_x2> a_x1^* a_x2)."""
-    x1, x2 = bond
-    c = _hopping_entry(box, omega, theta, x1, x2)
-    a1 = rep._annihilator_mats[rep.mode(x1)]
-    a2 = rep._annihilator_mats[rep.mode(x2)]
-    m = c * (a1.conj().T @ a2)
+    m = bilinear(rep, *bond, _hopping_entry(box, omega, theta, *bond)).mat
     return OperatorMatrix(m + m.conj().T, "even")
 
 
@@ -74,9 +66,7 @@ def diamagnetic_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: 
         return rep.zero()
     c = _hopping_entry(box, omega, theta, x1, x2)
     arg = bond_phase(a, t, x1, x2)
-    a1 = rep._annihilator_mats[rep.mode(x1)]
-    a2 = rep._annihilator_mats[rep.mode(x2)]
-    m = (np.exp(-1j * arg) - 1.0) * c * (a1.conj().T @ a2)
+    m = bilinear(rep, x1, x2, (np.exp(-1j * arg) - 1.0) * c).mat
     return OperatorMatrix(1j * (m - m.conj().T), "even")
 
 

@@ -26,6 +26,19 @@ def test_spectral_rejects_nonhermitian():
         SpectralData.from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_spectral_rejects_defect_just_above_spectral_threshold():
+    # the spectral-norm test rejects ||H - H*||_2 > 1e-10 max(1, ||H||_2); the
+    # cheaper Frobenius / max-entry guard must reject such a matrix too
+    h = np.diag([1.0, -3.0]).astype(complex)
+    eps = 1.01e-10 * np.linalg.norm(h, 2)
+    h[0, 1] = eps
+    assert np.linalg.norm(h - h.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(h, 2))
+    with pytest.raises(DiagonalizationError):
+        SpectralData.from_hamiltonian(h)
+    h[0, 1] = 0.5 * eps  # within both thresholds
+    SpectralData.from_hamiltonian(h)
+
+
 def test_gibbs_trace_state():
     st = gibbs(np.zeros((8, 8)), 1.0)
     assert np.allclose(st.density, np.eye(8) / 8)

@@ -280,3 +280,37 @@ def test_report_csvs_plain_floats(tmp_path, monkeypatch):
         for line in lines[1:]:
             name, value = line.split(",")
             float(value)  # raises on reprs such as np.float64(1.9)
+
+
+SQUARE_2X3 = {"model.d": 2, "model.shape": [2, 3], "model.theta": 0.5, "model.lambda": 1.0,
+              "model.beta": 0.5, "field.w": [1.0, 0.0], "disorder.kind": "iid-uniform",
+              "disorder.seed": 3}
+
+
+def test_levy_anisotropy_is_a_gate_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    p = write_config(tmp_path, SQUARE_2X3)
+    assert main(["run", "levy", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    m = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    [failure] = m["gate_failures"]
+    assert "anisotropy" in failure and "threshold 1e-08" in failure
+    sup = build_system(ExperimentConfig.load(p), 0).kernel.xi_minus_sup()
+    assert sup > 1e-8 and f"= {sup!r} " in failure
+
+
+def test_green_kubo_sweeps_three_boxes(tmp_path, monkeypatch):
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    # a d=1 config given by shape: the sweep must still build 3-, 5- and 7-site chains
+    cfg = ExperimentConfig.load(write_config(tmp_path, {"model.shape": [4]}))
+    manifest = run_experiment("green-kubo", cfg, tmp_path / "gk")
+    assert manifest["gate_failures"] == []
+    rows = [line.split(",") for line in
+            (tmp_path / "gk" / "green_kubo.csv").read_text().splitlines()[1:]]
+    assert [int(r[1]) for r in rows] == [3, 5, 7]
+    assert len({r[2] for r in rows}) == 3
+    # a 2x3 config has no chain family: a named gate failure, no residual rows
+    cfg2 = ExperimentConfig.load(write_config(tmp_path, SQUARE_2X3, "sq.json"))
+    manifest = run_experiment("green-kubo", cfg2, tmp_path / "gk2")
+    assert manifest["files"] == []
+    [failure] = manifest["gate_failures"]
+    assert "chains of 3, 5 and 7 sites" in failure
