@@ -23,6 +23,10 @@ class CacheCorruptionError(Exception):
     pass
 
 
+class CacheCorruptionWarning(UserWarning):
+    """A corrupt entry was evicted and its spectrum recomputed."""
+
+
 def cache_dir(configured: str | None = None) -> Path:
     env = os.environ.get(ENV_VAR)
     base = env or configured or os.path.join(tempfile.gettempdir(), "fermicond-cache")
@@ -66,6 +70,11 @@ class SpectralCache:
         os.replace(tmp, path)                     # atomic publish
         os.replace(sidetmp, path.with_suffix(".sha256"))
         return path
+
+    def evict(self, model_hash: str, seed: int) -> None:
+        path = self._path(model_hash, seed)
+        path.unlink(missing_ok=True)
+        path.with_suffix(".sha256").unlink(missing_ok=True)
 
     def stats(self) -> dict:
         files = sorted(self.dir.glob("*.npz"))

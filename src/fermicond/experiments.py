@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cache import SpectralCache
+from .cache import CacheCorruptionError, CacheCorruptionWarning, SpectralCache
 from .config import ExperimentConfig
 from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
                           work_functional)
@@ -63,7 +64,12 @@ def build_system(cfg: ExperimentConfig, sample_index: int = 0,
     # model_hash covers only the model block; the disorder kind changes H too
     key = f"{cfg.model_hash()}:{cfg.disorder.kind}"
     if cache is not None:
-        spectral = cache.get(key, dist.seed)
+        try:
+            spectral = cache.get(key, dist.seed)
+        except CacheCorruptionError as exc:
+            warnings.warn(f"{exc}; evicting the entry and recomputing",
+                          CacheCorruptionWarning, stacklevel=2)
+            cache.evict(key, dist.seed)
     if spectral is None or spectral.source_hash != _hash_matrix(h.mat):
         spectral = SpectralData.from_hamiltonian(h)
         if cache is not None:
@@ -522,18 +528,22 @@ def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
     rows = []
     sites = box.sites
     unit = tuple(np.eye(box.dim, dtype=int)[0])
+    x0 = sites[0]
+    x1 = shift(x0, unit)
+    b1 = None  # the same B1 at every distance: built, and its norm taken, once
     for dist in range(2, min(7, len(sites) - 1)):
-        x0 = sites[0]
-        x1 = shift(x0, unit)
         y0 = sites[dist] if dist < len(sites) else None
         y1 = shift(y0, unit)
         if y1 not in box.index or not box.has_bond(y0, y1):
             continue
-        b1 = current_obs(sys0.rep, box, (x1, x0), sys0.omega, cfg.model.theta)
+        if b1 is None:
+            b1 = current_obs(sys0.rep, box, (x1, x0), sys0.omega, cfg.model.theta)
+            norm1 = opnorm(b1)
         b2 = current_obs(sys0.rep, box, (y1, y0), sys0.omega, cfg.model.theta)
+        norms = (norm1, opnorm(b2))
         for t in (0.5, 1.0, 2.0):
             res = lieb_robinson_check(b1, (x0, x1), b2, (y0, y1), t,
-                                      sys0.spectral, f, conv, dsup)
+                                      sys0.spectral, f, conv, dsup, norms)
             rows.append((dist, t, res["lhs"], res["rhs_bound"], res["satisfied"]))
             if not res["satisfied"]:
                 failures.append(f"LR bound violated at dist={dist}, t={t}")

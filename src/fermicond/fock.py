@@ -14,7 +14,7 @@ operators are diagonals.  The string matrices stay as the algebra's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -114,6 +114,21 @@ def opnorm_mat(m: np.ndarray) -> float:
 
 def opnorm(a: OperatorMatrix) -> float:
     return opnorm_mat(a.mat)
+
+
+@cache
+def number_sectors(dim: int) -> tuple[np.ndarray, ...]:
+    """Basis indices of each particle-number sector (equal popcount), by
+    ascending number; the whole space as one block if dim is not a power of 2."""
+    states = np.arange(dim)
+    if dim & (dim - 1):
+        sectors = (states,)
+    else:
+        n = np.bitwise_count(states)
+        sectors = tuple(states[n == k] for k in range(int(n.max()) + 1))
+    for idx in sectors:
+        idx.flags.writeable = False  # shared by every caller through the cache
+    return sectors
 
 
 class FockRep:

@@ -88,11 +88,12 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
 
     def observe(t, rho):
         wt = w_mat(t)
-        return (np.trace(rho @ h0).real - e_h0,  # S
-                np.trace(rho @ wt).real,  # P
+        e_wt = state.expect(wt).real
+        return (np.einsum("ij,ji->", rho, h0).real - e_h0,  # S
+                np.einsum("ij,ji->", rho, wt).real,  # P
                 # Ip by an independent route, for the balance check S + P = Ip + Id
-                np.trace(rho @ (h0 + wt)).real - (e_h0 + state.expect(wt).real),
-                state.expect(wt).real)  # Id
+                np.einsum("ij,ji->", rho, h0 + wt).real - (e_h0 + e_wt),
+                e_wt)  # Id
 
     if eta == 0.0:
         S, P, Ip, Id = np.zeros((4, len(times)))

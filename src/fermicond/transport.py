@@ -365,11 +365,11 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     def observe(t, rho):
         j_p, j_d = np.zeros(box.dim), np.zeros(box.dim)
         for k in range(box.dim):
-            j_p[k] = np.trace(rho @ para_ops[k]).real / vol - j_th[k]
+            j_p[k] = np.einsum("ij,ji->", rho, para_ops[k]).real / vol - j_th[k]
             dia = sum(diamagnetic_obs(rep, box, b, omega, theta, a_scaled, t).mat
                       for b in bonds_per_axis[k])
             if isinstance(dia, np.ndarray):
-                j_d[k] = np.trace(rho @ dia).real / vol
+                j_d[k] = np.einsum("ij,ji->", rho, dia).real / vol
         return j_p, j_d
 
     j_p, j_d = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
                                    GibbsState, OverlappingSupportsError,
                                    SpectralData, StepSizeError, duhamel, evolve,
                                    gibbs, heisenberg, imaginary_time,
                                    lieb_robinson_check, richardson_drive_check,
-                                   step_unitary, work_functional, _simpson_weights)
+                                   step_unitary, work_functional, _CF4_A, _CF4_C,
+                                   _simpson_weights)
 from fermicond.fock import OperatorMatrix, opnorm
-from fermicond.model import DecayFunction, InterparticleInteraction, full_interaction_norm
+from fermicond.model import (DecayFunction, InterparticleInteraction, build_w, flat_pulse,
+                             full_interaction_norm, rescale)
 
 from conftest import make_system, nn_interaction, random_local
 
@@ -239,6 +242,75 @@ def test_richardson_check(rng):
         richardson_drive_check(sys["state"], h_of_t, 0.0, 1.0, 0.5, obs, tol=1e-14)
 
 
+# -- number-sector steps --------------------------------------------------------
+
+def _hubbard_drive(n_sites=6):
+    """A disordered Hubbard chain and its generator t -> H + W_t."""
+    sys = make_system(n_sites, "iid-uniform", seed=31, theta=0.3, lam=1.0,
+                      ip=InterparticleInteraction("hubbard", U=1.0))
+    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=float(n_sites)), 2.0, 0.4)
+
+    def h_of_t(t):
+        return sys["h"].mat + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
+                                      a, t).mat
+
+    return sys, h_of_t
+
+
+def _dense_cf4(h_of_t, t, dt):
+    """The CF4 step as the product of two full-space scipy exponentials."""
+    (c1, c2), (a1, a2) = _CF4_C, _CF4_A
+    h1, h2 = h_of_t(t + c1 * dt), h_of_t(t + c2 * dt)
+    return expm(-1j * dt * (a1 * h1 + a2 * h2)) @ expm(-1j * dt * (a2 * h1 + a1 * h2))
+
+
+def _off_sector(dim):
+    n = np.bitwise_count(np.arange(dim))
+    return n[:, None] != n[None, :]
+
+
+def test_sector_step_matches_dense_exponentials():
+    sys, h_of_t = _hubbard_drive()
+    t, dt = 0.4, 0.05
+    assert np.any(h_of_t(t) != sys["h"].mat)  # the field is on
+    u = step_unitary(h_of_t, t, dt)
+    assert np.abs(u - _dense_cf4(h_of_t, t, dt)).max() <= 1e-12
+    assert not np.any(u[_off_sector(len(u))])
+    assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
+
+
+def test_sector_step_falls_back_for_off_sector_terms():
+    sys, h_of_t = _hubbard_drive()
+    x = sys["rep"].site_order[2]
+    a = sys["rep"].annihilator(x)
+    odd = 0.3 * (a + a.H).mat  # changes the particle number by one
+
+    def h_mixed(t):
+        return h_of_t(t) + odd
+
+    t, dt = 0.4, 0.05
+    u = step_unitary(h_mixed, t, dt)
+    assert np.abs(u - _dense_cf4(h_mixed, t, dt)).max() <= 1e-12
+    assert np.any(u[_off_sector(len(u))])
+
+
+def test_sector_evolve_conserves_trace_and_matches_dense():
+    sys, h_of_t = _hubbard_drive()
+    rho0 = sys["state"].density
+    grid = np.linspace(0.0, 1.2, 7)
+    dt = 0.05
+    rhos = evolve(rho0, h_of_t, grid, dt, _keep)
+    ref = rho0
+    for k, (ta, tb) in enumerate(zip(grid[:-1], grid[1:])):
+        n = int(np.ceil((tb - ta) / dt - 1e-12))
+        step = (tb - ta) / n
+        for j in range(n):
+            u = _dense_cf4(h_of_t, ta + j * step, step)
+            ref = u @ ref @ u.conj().T
+        assert abs(np.trace(rhos[k + 1]) - 1.0) <= 1e-12
+        assert np.abs(rhos[k + 1] - ref).max() <= 1e-10
+
+
 def test_simpson_weights_polynomial():
     # integrates cubics exactly on even grids
     n, h = 10, 0.1
@@ -307,6 +379,9 @@ def test_lieb_robinson_basics(rng):
     res1 = lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((3,), (4,)), 1.0,
                                sys["spectral"], f, conv, dsup)
     assert res1["satisfied"] and res1["lhs"] > 0.0
+    assert lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((3,), (4,)), 1.0,
+                               sys["spectral"], f, conv, dsup,
+                               norms=(opnorm(b1), opnorm(b2))) == res1
     with pytest.raises(OverlappingSupportsError):
         lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((-2,), (0,)), 1.0,
                             sys["spectral"], f, conv, dsup)

@@ -1,10 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from fermicond.fock import (DimensionCapError, FockRep, OperatorMatrix,
                             ShapeMismatchError, UnknownSiteError,
                             anticommutator, bilinear, build_annihilators,
-                            commutator, opnorm, time_reversal)
+                            commutator, number_sectors, opnorm, time_reversal)
 from fermicond.lattice import Box
 
 from conftest import random_local
@@ -135,3 +137,15 @@ def test_adjoint_involution(rng):
     rep = FockRep.of_box(Box.chain(2))
     b = random_local(rng, rep)
     assert opnorm(b.H.H - b) == 0.0
+
+
+def test_number_sectors_partition_by_popcount():
+    rep = FockRep.of_box(Box.chain(8))
+    sectors = number_sectors(rep.dim)
+    assert [len(idx) for idx in sectors] == [comb(8, k) for k in range(9)]
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(rep.dim))
+    total = np.diag(rep.total_number().mat).real
+    for k, idx in enumerate(sectors):
+        assert np.all(total[idx] == k)
+    assert number_sectors(rep.dim) is sectors  # cached per dim
+    assert [len(idx) for idx in number_sectors(12)] == [12]  # not a power of two

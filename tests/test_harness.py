@@ -1,12 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from fermicond.cache import CacheCorruptionError, SpectralCache
+from fermicond.cache import CacheCorruptionError, CacheCorruptionWarning, SpectralCache
 from fermicond.cli import main
 from fermicond.config import ConfigError, ExperimentConfig
-from fermicond.equilibrium import SpectralData
+from fermicond.equilibrium import DiagonalizationError, SpectralData
 from fermicond.experiments import (REGISTRY, UnknownExperimentError, build_system,
                                    emit_plotdata, run_experiment)
 
@@ -138,6 +139,52 @@ def test_cache_key_separates_disorder_kinds(tmp_path, monkeypatch):
         again = build_system(cfg, 0)
         assert np.array_equal(again.spectral.eigenvalues, first.spectral.eigenvalues)
     assert calls == []
+
+
+@pytest.mark.parametrize("damage", ["flip-byte", "drop-sidecar"])
+def test_build_system_recovers_corrupt_entry(tmp_path, monkeypatch, damage):
+    monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
+    cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    cfg.run.cache_dir = str(tmp_path / "cache")
+    build_system(cfg, 0)
+    (entry,) = SpectralCache(cfg.run.cache_dir).dir.glob("*.npz")
+    if damage == "flip-byte":
+        data = bytearray(entry.read_bytes())
+        data[-1] ^= 0xFF
+        entry.write_bytes(bytes(data))
+    else:
+        entry.with_suffix(".sha256").unlink()
+    with pytest.warns(CacheCorruptionWarning):
+        rebuilt = build_system(cfg, 0).spectral
+    fresh = build_system(cfg, 0, use_cache=False).spectral  # from_hamiltonian, no cache
+    assert np.array_equal(rebuilt.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(rebuilt.eigenvectors, fresh.eigenvectors)
+    # the entry left behind is valid: the next build is a silent hit with no eigh
+    assert SpectralCache(cfg.run.cache_dir).stats()["entries"] == 1
+    calls = _count_diagonalizations(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = build_system(cfg, 0).spectral
+    assert calls == []
+    assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+
+
+def test_corrupt_entry_is_evicted_before_recompute(tmp_path, monkeypatch):
+    # a recompute that fails must not leave the corrupt entry behind
+    monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
+    cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    cfg.run.cache_dir = str(tmp_path / "cache")
+    build_system(cfg, 0)
+    (entry,) = SpectralCache(cfg.run.cache_dir).dir.glob("*.npz")
+    entry.write_bytes(entry.read_bytes()[:-1])
+
+    def failing(cls, h):
+        raise DiagonalizationError("recompute failed")
+
+    monkeypatch.setattr(SpectralData, "from_hamiltonian", classmethod(failing))
+    with pytest.warns(CacheCorruptionWarning), pytest.raises(DiagonalizationError):
+        build_system(cfg, 0)
+    assert not entry.exists() and not entry.with_suffix(".sha256").exists()
 
 
 def test_unknown_experiment(tmp_path):
