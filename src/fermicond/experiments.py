@@ -1,4 +1,4 @@
-"""Experiment registry, orchestration and plot-data emission.
+"""Experiment registry and orchestration.
 
 Every experiment is a pure function of (config, output dir) returning the
 files it wrote plus a list of numerical-gate failures; run_experiment wraps it
@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .cache import CacheCorruptionError, CacheCorruptionWarning, SpectralCache
 from .config import ExperimentConfig
+from .csvout import write_csv
 from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
                           work_functional)
 from .fock import (FockRep, OperatorMatrix, anticommutator, bilinear, build_annihilators,
@@ -87,65 +88,6 @@ def _provenance(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# plot-data emission
-# ---------------------------------------------------------------------------
-
-def emit_plotdata(results: dict, kind: str, outdir: Path) -> list[Path]:
-    """Write plotting CSVs for a result bundle; header-only when empty."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    def write_rows(name, cols, rows):
-        path = outdir / name
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        files.append(path)
-
-    if kind == "xi-series":
-        s = results["series"]
-        d = s.dim
-        cols = ["t"] + [f"xi_p[{k}][{q}]" for k in range(d) for q in range(d)]
-        rows = [[t, *s.xi_p[i].ravel()] for i, t in enumerate(s.times)]
-        write_rows("xi_p.csv", cols, rows)
-    elif kind == "measure":
-        meas = results["measure"]
-        d = meas.dim
-        cols = ["nu"] + [f"w[{k}][{q}]" for k in range(d) for q in range(d)]
-        rows = [[0.0, *meas.zero_atom.ravel()]]
-        rows += [[nu, *meas.weights[i].ravel()] for i, nu in enumerate(meas.nus)]
-        write_rows("measure.csv", cols, rows)
-        grid = results.get("density_grid", np.linspace(-1, 1, 3))
-        dens = meas.density_view(grid)
-        rows = [[g, *dens[i].ravel()] for i, g in enumerate(grid)]
-        write_rows("density.csv", ["nu"] + [f"rho[{k}][{q}]" for k in range(d)
-                                            for q in range(d)], rows)
-    elif kind == "drude-overlay":
-        rep = results["tails"]
-        write_rows("drude_tails.csv",
-                   ["nu", "measure_tail_nu2", "drude_tail_nu2"],
-                   [[nu, a, b] for nu, a, b in zip(rep["nu"], rep["measure_tail_nu2"],
-                                                   rep["drude_tail_nu2"])])
-    elif kind == "energy-traces":
-        for name, trace in results["traces"].items():
-            norm = trace.normalization()
-            write_rows(f"energy_{name}.csv",
-                       ["t", "S", "P", "Ip", "Id", "S_norm"],
-                       [[t, trace.S[i], trace.P[i], trace.Ip[i], trace.Id[i],
-                         trace.S[i] / norm] for i, t in enumerate(trace.times)])
-    elif kind == "levy-paths":
-        ens = results["ensemble"]
-        qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-        rows = [[t, *np.quantile(ens.paths[:, j], qs)] for j, t in enumerate(ens.times)]
-        write_rows("levy_quantiles.csv", ["t"] + [f"q{int(q * 100)}" for q in qs], rows)
-    else:
-        raise ValueError(f"unknown plot-data kind {kind!r}")
-    return files
-
-
-# ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
@@ -174,21 +116,13 @@ def run_transport(cfg: ExperimentConfig, outdir: Path):
     sys0 = build_system(cfg, 0)
     first = _sample_series(cfg, sys0)
     series = [first] + others
-    path = outdir / "transport_sample0.csv"
-    first.to_csv(path)
-    files.append(path)
+    files.append(first.to_csv(outdir / "transport_sample0.csv"))
     if n >= 2:
         mean = disorder_average(lambda i: series[i], n)
         mean.provenance.update(_provenance(cfg))
-        path = outdir / "transport_mean.csv"
-        mean.to_csv(path)
-        files.append(path)
-    jt = thermal_current(sys0.kernel)
-    with open(outdir / "thermal_current.csv", "w") as fh:
-        fh.write("axis,J_th\n")
-        for k, v in enumerate(jt):
-            fh.write(f"{k},{v!r}\n")
-    files.append(outdir / "thermal_current.csv")
+        files.append(mean.to_csv(outdir / "transport_mean.csv"))
+    files.append(write_csv(outdir / "thermal_current.csv", ["axis", "J_th"],
+                           enumerate(thermal_current(sys0.kernel))))
     # gates: Xi_p(0) = 0 exactly, transpose symmetry, xi_d codomain
     t_grid = cfg.run.times()
     xi0 = sys0.kernel.xi_p(0.0)
@@ -212,7 +146,8 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
     # pulse end lands on an even Simpson panel edge
     times = f.t0 + (f.t1 - f.t0) * np.linspace(0.0, 1.4, 71)
     efield, eint = pulse_efield_and_integral(a_base, w)
-    j_lin, j_d_lin = ohm_linear(sys0.kernel, efield, w, times, eint)
+    # the driven response follows Xi_p(t-s)^T (see ohm_linear); same as Xi_p for d=1
+    j_lin, j_d_lin = ohm_linear(sys0.kernel, efield, w, times, eint, transpose_kernel=True)
     etas = sorted(cfg.field_.etas)
     scale = max(f.scale, float(len(sys0.box)))  # flat across every box bond
     traces = {}
@@ -220,19 +155,12 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
         a_scaled = rescale(a_base, scale, eta)
         traces[eta] = driven_currents(sys0.rep, sys0.box, sys0.omega, m.theta, m.lam,
                                       m.ip(), sys0.state, a_scaled, eta, times, cfg.run.dt)
-    path = outdir / "ohm.csv"
-    with open(path, "w") as fh:
-        fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(_provenance(cfg).items())) + "\n")
-        cols = ["t"] + [f"J_lin[{k}]" for k in range(m.d)] \
-            + [f"J_d_lin[{k}]" for k in range(m.d)] \
-            + [f"J_p_eta{eta}[{k}]" for eta in etas for k in range(m.d)]
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(times):
-            row = [t, *j_lin[i], *j_d_lin[i]]
-            for eta in etas:
-                row.extend(traces[eta].j_p[i] / eta)
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    files.append(path)
+    cols = ["t"] + [f"J_lin[{k}]" for k in range(m.d)] \
+        + [f"J_d_lin[{k}]" for k in range(m.d)] \
+        + [f"J_p_eta{eta}[{k}]" for eta in etas for k in range(m.d)]
+    rows = [[t, *j_lin[i], *j_d_lin[i], *(v for eta in etas for v in traces[eta].j_p[i] / eta)]
+            for i, t in enumerate(times)]
+    files.append(write_csv(outdir / "ohm.csv", cols, rows, _provenance(cfg)))
 
     # quadratic remainder fit over the eta scan at the final time
     resid = np.array([np.linalg.norm(traces[eta].j_p[-1] - eta * j_lin[-1]) for eta in etas])
@@ -243,11 +171,9 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
     rich = (2 * traces[etas[0]].j_p[-1] / etas[0] - traces[etas[1]].j_p[-1] / etas[1]) \
         if len(etas) >= 2 else traces[etas[0]].j_p[-1] / etas[0]
     extr_err = float(np.linalg.norm(rich - j_lin[-1]))
-    with open(outdir / "ohm_report.csv", "w") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"remainder_order,{float(order)!r}\n")
-        fh.write(f"richardson_vs_convolution,{extr_err!r}\n")
-    files.append(outdir / "ohm_report.csv")
+    files.append(write_csv(outdir / "ohm_report.csv", ["quantity", "value"],
+                           [["remainder_order", order],
+                            ["richardson_vs_convolution", extr_err]]))
     if order < 1.9:
         failures.append(f"Ohm remainder order {order:.3f} < 1.9")
     if extr_err > 1e-4:
@@ -267,8 +193,11 @@ def run_joule(cfg: ExperimentConfig, outdir: Path):
         traces[eta] = energy_increments(sys0.rep, sys0.box, sys0.omega, m.theta, m.lam,
                                         m.ip(), sys0.state, a_base, eta, f.scale,
                                         times, cfg.run.dt, warn_margin=False)
-    files += emit_plotdata({"traces": {f"eta{e}": tr for e, tr in traces.items()}},
-                           "energy-traces", outdir)
+    for eta, tr in traces.items():
+        norm = tr.normalization()
+        files.append(write_csv(
+            outdir / f"energy_eta{eta}.csv", ["t", "S", "P", "Ip", "Id", "S_norm"],
+            zip(tr.times, tr.S, tr.P, tr.Ip, tr.Id, tr.S / norm)))
     for eta, tr in traces.items():
         scale = max(np.abs(tr.Ip).max(), np.abs(tr.S).max(), 1e-30)
         if tr.balance_defect() > 1e-6 * scale:
@@ -287,12 +216,9 @@ def run_joule(cfg: ExperimentConfig, outdir: Path):
     xint = joule_integrand_x(sys0.kernel, a_base, f.scale, s_grid)
     ip_norm = traces[etas[0]].Ip[-1] / traces[etas[0]].normalization()
     xx = xint.double_integral(times[-1])
-    with open(outdir / "joule_report.csv", "w") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"Ip_normalized,{float(ip_norm)!r}\n")
-        fh.write(f"double_integral_X,{float(xx)!r}\n")
-        fh.write(f"difference,{float(abs(ip_norm - xx))!r}\n")
-    files.append(outdir / "joule_report.csv")
+    files.append(write_csv(outdir / "joule_report.csv", ["quantity", "value"],
+                           [["Ip_normalized", ip_norm], ["double_integral_X", xx],
+                            ["difference", abs(ip_norm - xx)]]))
     return files, failures
 
 
@@ -300,11 +226,16 @@ def run_measure(cfg: ExperimentConfig, outdir: Path):
     files, failures = [], []
     sys0 = build_system(cfg, 0)
     meas = extract_measure(sys0.kernel, _provenance(cfg))
-    path = outdir / "measure_full.csv"
-    meas.to_csv(path)
-    files.append(path)
+    files.append(meas.to_csv(outdir / "measure_full.csv"))
     grid = np.linspace(-(meas.spectral_diameter() + 1.0), meas.spectral_diameter() + 1.0, 201)
-    files += emit_plotdata({"measure": meas, "density_grid": grid}, "measure", outdir)
+    d = meas.dim
+    files.append(write_csv(outdir / "measure.csv",
+                           ["nu"] + [f"w[{k}][{q}]" for k in range(d) for q in range(d)],
+                           [[0.0, *meas.zero_atom.ravel()]]
+                           + [[nu, *w.ravel()] for nu, w in zip(meas.nus, meas.weights)]))
+    files.append(write_csv(outdir / "density.csv",
+                           ["nu"] + [f"rho[{k}][{q}]" for k in range(d) for q in range(d)],
+                           [[g, *rho.ravel()] for g, rho in zip(grid, meas.density_view(grid))]))
     times = cfg.run.times()
     rec = levy_khintchine(meas, times)
     direct = sys0.kernel.xi_plus(times)
@@ -323,11 +254,9 @@ def run_measure(cfg: ExperimentConfig, outdir: Path):
         c = cesaro_mean(sys0.kernel.xi_plus, t_mean)
         cs.append(float(np.linalg.norm(c + meas.ac_total(), 2)))
     c_const = cesaro_constant(meas)
-    with open(outdir / "cesaro.csv", "w") as fh:
-        fh.write("T,residual,rigorous_C_over_T\n")
-        for t_mean, r in zip((50.0, 100.0, 200.0), cs):
-            fh.write(f"{t_mean},{r!r},{c_const / t_mean!r}\n")
-    files.append(outdir / "cesaro.csv")
+    files.append(write_csv(outdir / "cesaro.csv", ["T", "residual", "rigorous_C_over_T"],
+                           [[t_mean, r, c_const / t_mean]
+                            for t_mean, r in zip((50.0, 100.0, 200.0), cs)]))
     for t_mean, r in zip((50.0, 100.0, 200.0), cs):
         if r > c_const / t_mean + 1e-12:
             failures.append(f"Cesaro residual at T={t_mean} above rigorous C/T")
@@ -344,7 +273,9 @@ def run_drude_compare(cfg: ExperimentConfig, outdir: Path):
     diam = meas.spectral_diameter()
     grid = np.linspace(0.5, 2 * diam + 5.0, 200)
     rep = drude_tail_compare(meas, spec, w, grid)
-    files += emit_plotdata({"tails": rep}, "drude-overlay", outdir)
+    files.append(write_csv(outdir / "drude_tails.csv",
+                           ["nu", "measure_tail_nu2", "drude_tail_nu2"],
+                           zip(rep["nu"], rep["measure_tail_nu2"], rep["drude_tail_nu2"])))
     if not rep["crossover_exists"]:
         failures.append("no frequency beyond which the computed tail is 0 < Drude tail")
     big = grid > max(2.0 / spec.T, diam + 1.0)
@@ -373,17 +304,17 @@ def run_levy(cfg: ExperimentConfig, outdir: Path):
     if err > 1e-8:
         failures.append(f"char exponent vs directional [Xi_p]_+ error {err:.2e}")
     ens = sample_paths(triple, n=20000, t_max=5.0, dt=0.05, seed=cfg.disorder.seed)
-    files += emit_plotdata({"ensemble": ens}, "levy-paths", outdir)
+    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
+    files.append(write_csv(outdir / "levy_quantiles.csv",
+                           ["t"] + [f"q{int(q * 100)}" for q in qs],
+                           [[t, *np.quantile(ens.paths[:, j], qs)]
+                            for j, t in enumerate(ens.times)]))
     alphas = np.linspace(-3, 3, 21)
     idx = [np.argmin(np.abs(ens.times - 1.0)), len(ens.times) - 1]
     rep = validate_char(ens, triple, alphas, idx)
-    path = outdir / "levy_char.csv"
-    with open(path, "w") as fh:
-        fh.write("t,alpha,mc_re,exact_re,stderr_re,pass\n")
-        for r in rep["rows"]:
-            fh.write(f"{r['t']!r},{r['alpha']!r},{r['mc_re']!r},{r['exact_re']!r},"
-                     f"{r['stderr_re']!r},{int(r['pass'])}\n")
-    files.append(path)
+    cols = ["t", "alpha", "mc_re", "exact_re", "stderr_re", "pass"]
+    files.append(write_csv(outdir / "levy_char.csv", cols,
+                           [[r[c] for c in cols] for r in rep["rows"]]))
     if rep["pass_fraction"] < 0.99:
         failures.append(f"characteristic function pass fraction {rep['pass_fraction']:.3f}")
     return files, failures
@@ -499,12 +430,7 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
           np.isfinite(mean.stderr_p).all() and float(np.abs(mean.xi_p).max()) < 10.0,
           f"max stderr {float(mean.stderr_p.max()):.2e}")
 
-    path = outdir / "invariants.csv"
-    with open(path, "w") as fh:
-        fh.write("check,passed,detail\n")
-        for name, ok, detail in rows:
-            fh.write(f"{name},{int(ok)},{detail}\n")
-    files.append(path)
+    files.append(write_csv(outdir / "invariants.csv", ["check", "passed", "detail"], rows))
     for name, ok, detail in rows:
         print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
     return files, failures
@@ -547,12 +473,8 @@ def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
             rows.append((dist, t, res["lhs"], res["rhs_bound"], res["satisfied"]))
             if not res["satisfied"]:
                 failures.append(f"LR bound violated at dist={dist}, t={t}")
-    path = outdir / "lieb_robinson.csv"
-    with open(path, "w") as fh:
-        fh.write("distance,t,lhs,rhs_bound,satisfied\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r},{int(r[4])}\n")
-    files.append(path)
+    files.append(write_csv(outdir / "lieb_robinson.csv",
+                           ["distance", "t", "lhs", "rhs_bound", "satisfied"], rows))
     return files, failures
 
 
@@ -572,12 +494,8 @@ def run_time_reversal(cfg: ExperimentConfig, outdir: Path):
             failures.append(f"sample {i}: thermal current {np.abs(jth).max():.2e}")
         if ximinus > 1e-10:
             failures.append(f"sample {i}: [Xi_p]_- sup {ximinus:.2e}")
-    path = outdir / "time_reversal.csv"
-    with open(path, "w") as fh:
-        fh.write("sample,max_thermal_current,xi_minus_sup\n")
-        for r in rows:
-            fh.write(f"{r[0]},{r[1]!r},{r[2]!r}\n")
-    files.append(path)
+    files.append(write_csv(outdir / "time_reversal.csv",
+                           ["sample", "max_thermal_current", "xi_minus_sup"], rows))
     return files, failures
 
 
@@ -597,12 +515,8 @@ def run_green_kubo(cfg: ExperimentConfig, outdir: Path):
         sysl = build_system(sub, 0)
         sizes.append(len(sysl.box.sites))
         resids.append(green_kubo_residual(sysl.kernel, times)["max_residual"])
-    path = outdir / "green_kubo.csv"
-    with open(path, "w") as fh:
-        fh.write("l,sites,max_residual\n")
-        for l, (n, r) in enumerate(zip(sizes, resids), start=1):
-            fh.write(f"{l},{n},{r!r}\n")
-    files.append(path)
+    files.append(write_csv(outdir / "green_kubo.csv", ["l", "sites", "max_residual"],
+                           [(l, n, r) for l, (n, r) in enumerate(zip(sizes, resids), start=1)]))
     if not (resids[0] > resids[1] > resids[2]):
         failures.append(f"Green-Kubo residuals not decreasing: {resids}")
     return files, failures

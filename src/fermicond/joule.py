@@ -20,7 +20,7 @@ orientation-invariant), and densities are normalized by eta^2 l^d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -54,18 +54,6 @@ class EnergyTrace:
     def normalization(self) -> float:
         d = self.provenance.get("d", 1)
         return self.eta ** 2 * self.l ** d
-
-    def to_csv(self, path) -> None:
-        norm = self.normalization()
-        with open(path, "w") as fh:
-            head = ",".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))
-            fh.write(f"# {head}\n")
-            fh.write("t,S,P,Ip,Id,S_norm,P_norm,Ip_norm,Id_norm\n")
-            for i, t in enumerate(self.times):
-                vals = [self.S[i], self.P[i], self.Ip[i], self.Id[i]]
-                row = [repr(float(t))] + [repr(float(v)) for v in vals] \
-                    + [repr(float(v / norm)) if norm else "nan" for v in vals]
-                fh.write(",".join(row) + "\n")
 
 
 def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
@@ -110,12 +98,11 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
 
 @dataclass
 class JouleIntegrand:
-    """X_l sampled on a 2-D time grid, optionally alongside X_infinity."""
+    """X_l sampled on a 2-D time grid."""
 
     s_grid: np.ndarray
     x_l: np.ndarray            # (ns, ns) with [i1, i2] = X_l(s1_i1, s2_i2)
     l: float
-    x_inf: Optional[np.ndarray] = None
 
     def double_integral(self, t: float) -> float:
         """int_{t0}^t ds1 int_{t0}^{s1} ds2 X(s1, s2) by iterated Simpson."""
@@ -149,18 +136,16 @@ def joule_integrand_x(kernel: TransportKernel, a_base: VectorPotential, l: float
     d = kernel.box.dim
     _, _, k_eig = _bond_field_weights(kernel, rescale(a_base, l, 1.0), s_grid)
     g = kernel.pair_weight
-    nu = kernel.bohr
     reg = ~kernel._tiny
-    ns = len(s_grid)
-    x_l = np.zeros((ns, ns))
-    phase = np.exp(1j * np.multiply.outer(s_grid, nu[reg]))  # (ns, n_reg)
-    k_reg = np.stack([k_eig[i][reg] for i in range(ns)])     # (ns, n_reg)
-    for i1 in range(ns):
-        if not np.any(k_eig[i1]):  # zero field at s1 kills the whole row
-            continue
-        a1 = (k_eig[i1].T * g)[reg]              # source coefficients, s1 slot
-        pair = phase[i1] * np.conj(phase) - 1.0  # e^{i (s1 - s2) nu} - 1, (ns, n_reg)
-        x_l[i1] = np.einsum("r,sr,sr->s", a1, k_reg, pair).real
+    phase = np.exp(1j * np.multiply.outer(s_grid, kernel.bohr[reg]))  # (ns, n_reg)
+    k_reg = np.stack([k[reg] for k in k_eig])                         # (ns, n_reg)
+    a = np.stack([(k.T * g)[reg] for k in k_eig])  # source coefficients, s1 slot
+    # sum_r a[s1, r] k[s2, r] (e^{i (s1 - s2) nu_r} - 1) as two matrix products;
+    # the phases go on in place so no array outgrows (ns, n_reg)
+    x_l = -(a @ k_reg.T).real
+    a *= phase
+    k_reg *= np.conj(phase, out=phase)
+    x_l += (a @ k_reg.T).real
     return JouleIntegrand(s_grid, x_l / l ** d, l)
 
 

@@ -98,18 +98,6 @@ class PathEnsemble:
     def increments(self, j0: int, j1: int) -> np.ndarray:
         return self.paths[:, j1] - self.paths[:, j0]
 
-    def quantiles_csv(self, path, qs=(0.05, 0.25, 0.5, 0.75, 0.95)) -> None:
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"q{int(100 * q)}" for q in qs) + "\n")
-            for j, t in enumerate(self.times):
-                vals = np.quantile(self.paths[:, j], qs)
-                fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in vals]) + "\n")
-
-    def dump_paths(self, path) -> None:
-        """Full-path binary dump (npz: times + paths)."""
-        np.savez_compressed(path, times=self.times, paths=self.paths,
-                            master_seed=self.master_seed)
-
 
 def sample_paths(triple: LevyTriple, n: int, t_max: float, dt: float,
                  seed: int, small_jump_cut: float = 0.0) -> PathEnsemble:

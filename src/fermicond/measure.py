@@ -13,10 +13,12 @@ AC-conductivity measure are the nu^-2 views away from nu = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .csvout import write_csv
 from .transport import TransportKernel
 
 
@@ -101,17 +103,12 @@ class MatrixMeasure:
         sel = self.nus >= nu0
         return self.ac_weights()[sel].sum(axis=0) if sel.any() else np.zeros((self.dim, self.dim))
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> Path:
         d = self.dim
-        with open(path, "w") as fh:
-            head = ",".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))
-            fh.write(f"# {head}\n")
-            cols = ["nu"] + [f"w[{k}][{q}]" for k in range(d) for q in range(d)]
-            fh.write(",".join(cols) + "\n")
-            fh.write(",".join(["0"] + [repr(float(v)) for v in self.zero_atom.ravel()]) + "\n")
-            for i, nu in enumerate(self.nus):
-                row = [repr(float(nu))] + [repr(float(v)) for v in self.weights[i].ravel()]
-                fh.write(",".join(row) + "\n")
+        cols = ["nu"] + [f"w[{k}][{q}]" for k in range(d) for q in range(d)]
+        rows = [[0, *self.zero_atom.ravel()]]
+        rows += [[nu, *self.weights[i].ravel()] for i, nu in enumerate(self.nus)]
+        return write_csv(path, cols, rows, self.provenance)
 
     def density_view(self, nugrid, bandwidth: float = 0.05) -> np.ndarray:
         """Gaussian-kernel smoothing of the AC atoms for plotting only."""

@@ -13,10 +13,12 @@ quadrature of the defining integral is kept in the tests as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
+from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
     duhamel_pair_eig, evolve
 from .fock import FockRep, OperatorMatrix, bilinear
@@ -85,47 +87,36 @@ class TransportSeries:
     def dim(self) -> int:
         return self.xi_d.shape[0]
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> Path:
         d = self.dim
-        with open(path, "w") as fh:
-            head = ",".join(f"{k}={v}" for k, v in sorted(self.provenance.items()))
-            fh.write(f"# {head}\n")
-            cols = ["t"] + [f"xi_p[{k}][{q}]" for k in range(d) for q in range(d)]
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.xi_p[i].ravel()]
-                fh.write(",".join(row) + "\n")
-            row = ["xi_d"] + [repr(float(v)) for v in self.xi_d.ravel()]
-            fh.write(",".join(row) + "\n")
+        cols = ["t"] + [f"xi_p[{k}][{q}]" for k in range(d) for q in range(d)]
+        rows = [[t, *self.xi_p[i].ravel()] for i, t in enumerate(self.times)]
+        rows.append(["xi_d", *self.xi_d.ravel()])
+        return write_csv(path, cols, rows, self.provenance)
 
 
 class TransportKernel:
-    """Bohr-frequency representation of the space-averaged coefficients.
-
-    avg_box selects the sites entering the space average; bonds (x, x+e_k)
-    are included only when both endpoints lie in the underlying box.
+    """Bohr-frequency representation of the coefficients averaged over the box;
+    bonds (x, x+e_k) are included only when both endpoints lie in the box.
     """
 
     def __init__(self, rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-                 state: GibbsState, avg_box: Optional[Box] = None,
-                 bin_tol: Optional[float] = None):
+                 state: GibbsState):
         self.rep, self.box, self.omega, self.theta, self.state = rep, box, omega, theta, state
-        self.avg_box = avg_box if avg_box is not None else box
         self.dim_space = box.dim
         sd = state.spectral
         e = sd.eigenvalues
 
         unit = np.eye(box.dim, dtype=int)
-        self._avg_sites = [s for s in self.avg_box.sites if s in box.index]
-        self.volume = len(self._avg_sites)
+        self.volume = len(box)
 
-        # summed directional currents J_k and kinetic partners over the average box
+        # summed directional currents J_k and kinetic partners over the box
         self._bond_cache: dict = {}
         j_ops, p_ops = [], []
         for k in range(box.dim):
             jm = np.zeros((rep.dim, rep.dim), dtype=complex)
             pm = np.zeros_like(jm)
-            for x in self._avg_sites:
+            for x in box.sites:
                 y = shift(x, unit[k])
                 if y in box.index:
                     jm += current_obs(rep, box, (y, x), omega, theta).mat
@@ -147,8 +138,7 @@ class TransportKernel:
         self._scale = scale
 
         # one-sided atoms of the space-averaged coefficient
-        tol = bin_tol if bin_tol is not None else 1e-9 * scale
-        self._build_atoms(tol)
+        self._build_atoms(1e-9 * scale)
 
     # -- atom assembly ------------------------------------------------------
 
@@ -268,19 +258,9 @@ class TransportKernel:
 
 
 def thermal_current(kernel: TransportKernel) -> np.ndarray:
-    """J_th[k] = |Lambda|^-1 sum_x rho(I_(x+e_k, x))."""
-    box, rep = kernel.box, kernel.rep
-    unit = np.eye(box.dim, dtype=int)
-    out = np.zeros(box.dim)
-    for k in range(box.dim):
-        tot = 0.0
-        for x in kernel._avg_sites:
-            y = shift(x, unit[k])
-            if y in box.index:
-                tot += kernel.state.expect(
-                    current_obs(rep, box, (y, x), kernel.omega, kernel.theta).mat).real
-        out[k] = tot / kernel.volume
-    return out
+    """J_th[k] = |Lambda|^-1 sum_x rho(I_(x+e_k, x)), read off the kernel's
+    eigenbasis bond sums."""
+    return np.array([kernel.state.expect_eig(j).real / kernel.volume for j in kernel._j_eig])
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +299,21 @@ class CurrentDensityTrace:
     j_d: np.ndarray    # (nt, d)
     eta: float
 
-    def to_csv(self, path, provenance: Optional[dict] = None) -> None:
-        d = len(self.j_th)
-        with open(path, "w") as fh:
-            if provenance:
-                fh.write("# " + ",".join(f"{k}={v}" for k, v in sorted(provenance.items())) + "\n")
-            cols = ["t"] + [f"J_p[{k}]" for k in range(d)] + [f"J_d[{k}]" for k in range(d)]
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.j_p[i]] \
-                    + [repr(float(v)) for v in self.j_d[i]]
-                fh.write(",".join(row) + "\n")
-
 
 def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
-                    a_scaled: VectorPotential, eta: float, times, dt: float,
-                    avg_box: Optional[Box] = None) -> CurrentDensityTrace:
+                    a_scaled: VectorPotential, eta: float, times,
+                    dt: float) -> CurrentDensityTrace:
     """J_p and J_d along the driven evolution generated by H + W_t(eta * A_l)."""
-    avg_box = avg_box if avg_box is not None else box
     times = np.asarray(times, dtype=float)
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
     unit = np.eye(box.dim, dtype=int)
-    avg_sites = [s for s in avg_box.sites if s in box.index]
-    vol = len(avg_sites)
+    vol = len(box)
 
     bonds_per_axis = []
     para_ops = []
     for k in range(box.dim):
-        bonds = [(shift(x, unit[k]), x) for x in avg_sites
+        bonds = [(shift(x, unit[k]), x) for x in box.sites
                  if shift(x, unit[k]) in box.index]
         bonds_per_axis.append(bonds)
         para_ops.append(sum(current_obs(rep, box, b, omega, theta).mat for b in bonds))
@@ -466,7 +432,7 @@ def green_kubo_residual(kernel: TransportKernel, times) -> dict:
     d = box.dim
     flucts = []
     for k in range(d):
-        xs = [x for x in kernel._avg_sites if shift(x, unit[k]) in box.index]
+        xs = [x for x in box.sites if shift(x, unit[k]) in box.index]
         fk = fluctuation(
             lambda x, k=k: current_obs(rep, box, (shift(x, unit[k]), x),
                                        kernel.omega, kernel.theta), xs, state)

@@ -8,8 +8,8 @@ from fermicond.cache import CacheCorruptionError, CacheCorruptionWarning, Spectr
 from fermicond.cli import main
 from fermicond.config import ConfigError, ExperimentConfig
 from fermicond.equilibrium import DiagonalizationError, SpectralData
-from fermicond.experiments import (REGISTRY, UnknownExperimentError, build_system,
-                                   emit_plotdata, run_experiment)
+from fermicond.csvout import write_csv
+from fermicond.experiments import REGISTRY, UnknownExperimentError, build_system, run_experiment
 
 
 BASE_CONFIG = {
@@ -193,23 +193,31 @@ def test_unknown_experiment(tmp_path):
         run_experiment("bogus", cfg, tmp_path)
 
 
-def test_emit_plotdata_contracts(tmp_path, rng):
-    from fermicond.measure import MatrixMeasure
-    meas = MatrixMeasure(np.array([1.0]), np.array([[[0.5]]]), np.zeros((1, 1)))
-    files = emit_plotdata({"measure": meas, "density_grid": np.linspace(-2, 2, 5)},
-                          "measure", tmp_path)
-    names = {f.name for f in files}
-    assert names == {"measure.csv", "density.csv"}
-    # empty result set: header-only file
-    empty = MatrixMeasure(np.zeros(0), np.zeros((0, 1, 1)), np.zeros((1, 1)))
-    files = emit_plotdata({"measure": empty, "density_grid": np.zeros(0)},
-                          "measure", tmp_path / "empty")
-    meas_lines = (tmp_path / "empty" / "measure.csv").read_text().splitlines()
+def test_write_csv_cells(tmp_path):
+    # no rows: header-only file
+    path = write_csv(tmp_path / "empty.csv", ["a", "b"], [])
+    assert path.read_text() == "a,b\n"
+    # provenance line: sorted keys, k=v
+    path = write_csv(tmp_path / "p.csv", ["x"], [[1.5]], {"seed": 3, "beta": 0.5})
+    assert path.read_text().splitlines() == ["# beta=0.5,seed=3", "x", "1.5"]
+    path = write_csv(tmp_path / "c.csv", ["f", "i", "b", "nb", "s"],
+                     [[np.float64(0.1), np.int64(7), True, np.bool_(False), "xi_d"]])
+    assert path.read_text().splitlines()[1] == "0.1,7,1,0,xi_d"
+
+
+def test_measure_plot_csvs(tmp_path, monkeypatch):
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    # a one-site chain has no bond, so its measure has no atoms
+    cfg = ExperimentConfig.load(write_config(tmp_path, {"model.sites": 1}))
+    manifest = run_experiment("measure", cfg, tmp_path / "out")
+    assert manifest["gate_failures"] == []
+    names = {f["name"] for f in manifest["files"]}
+    assert {"measure.csv", "density.csv"} <= names
+    meas_lines = (tmp_path / "out" / "measure.csv").read_text().splitlines()
     assert len(meas_lines) == 2  # header + zero-atom row
-    dens_lines = (tmp_path / "empty" / "density.csv").read_text().splitlines()
-    assert len(dens_lines) == 1
-    with pytest.raises(ValueError):
-        emit_plotdata({}, "bogus", tmp_path)
+    dens_lines = (tmp_path / "out" / "density.csv").read_text().splitlines()
+    assert len(dens_lines) == 1 + 201
+    assert all(line.endswith(",0.0") for line in dens_lines[1:])
 
 
 def test_measure_experiment_and_manifest(tmp_path, monkeypatch):
@@ -289,6 +297,8 @@ def test_invariants_experiment(tmp_path, monkeypatch, capsys):
     assert manifest["gate_failures"] == []
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    # check name and detail are text; passed is an integer
+    assert_plain_csv(tmp_path / "inv" / "invariants.csv", text_columns=(0, 2))
 
 
 def test_registry_complete():
@@ -296,17 +306,40 @@ def test_registry_complete():
             "invariants", "lieb-robinson", "time-reversal"} <= set(REGISTRY)
 
 
-@pytest.mark.parametrize("experiment,overrides", [
-    ("ohm", {"model.sites": 4}),
-    ("joule", {"model.sites": 5, "field.scale": 1.0}),
-    ("levy", {"model.sites": 5}),
-    ("drude-compare", {"model.sites": 5, "disorder.kind": "iid-uniform",
-                       "model.theta": 0.3, "model.lambda": 0.5}),
-    ("lieb-robinson", {"model.sites": 6}),
-    ("time-reversal", {"model.sites": 4, "disorder.kind": "iid-real-hopping",
-                       "model.theta": 0.5}),
-    ("green-kubo", {}),
-])
+SQUARE_2X3 = {"model.d": 2, "model.shape": [2, 3], "model.theta": 0.5, "model.lambda": 1.0,
+              "model.beta": 0.5, "field.w": [1.0, 0.0], "disorder.kind": "iid-uniform",
+              "disorder.seed": 3}
+
+SMOKE_OVERRIDES = {
+    "ohm": {"model.sites": 4},
+    "joule": {"model.sites": 5, "field.scale": 1.0},
+    "levy": {"model.sites": 5},
+    "drude-compare": {"model.sites": 5, "disorder.kind": "iid-uniform",
+                      "model.theta": 0.3, "model.lambda": 0.5},
+    "lieb-robinson": {"model.sites": 6},
+    "time-reversal": {"model.sites": 4, "disorder.kind": "iid-real-hopping",
+                      "model.theta": 0.5},
+    "green-kubo": {},
+}
+
+
+def assert_plain_csv(path, text_columns=(0,)):
+    """Past the provenance line and the header, every row has one cell per
+    column and every cell is a float unless it sits in one of text_columns
+    (row labels); no numpy repr leaks anywhere."""
+    text = path.read_text()
+    assert "np." not in text, path.name
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    for row in rows:
+        assert len(row) == len(header), path.name
+        for i, cell in enumerate(row):
+            if i not in text_columns:
+                float(cell)  # raises on reprs such as np.float64(1.9)
+
+
+# ohm on a 2d box with [Xi_p]_- != 0: the driven response follows Xi_p(t-s)^T
+@pytest.mark.parametrize("experiment,overrides",
+                         [*SMOKE_OVERRIDES.items(), ("ohm", SQUARE_2X3)])
 def test_experiment_smoke(tmp_path, monkeypatch, experiment, overrides):
     monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
     p = write_config(tmp_path, overrides)
@@ -317,21 +350,21 @@ def test_experiment_smoke(tmp_path, monkeypatch, experiment, overrides):
 
 
 def test_report_csvs_plain_floats(tmp_path, monkeypatch):
+    # every manifest file of every registered experiment but invariants, whose
+    # cells test_invariants_experiment checks
     monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
-    for experiment, overrides in (("ohm", {"model.sites": 4}),
-                                  ("joule", {"model.sites": 5, "field.scale": 1.0})):
+    for experiment in sorted(set(REGISTRY) - {"invariants"}):
+        overrides = SMOKE_OVERRIDES.get(experiment, {})
         cfg = ExperimentConfig.load(write_config(tmp_path, overrides, f"{experiment}.json"))
-        run_experiment(experiment, cfg, tmp_path / experiment)
+        manifest = run_experiment(experiment, cfg, tmp_path / experiment)
+        assert manifest["files"], experiment
+        for f in manifest["files"]:
+            assert_plain_csv(tmp_path / experiment / f["name"])
+    for experiment in ("ohm", "joule"):
         lines = (tmp_path / experiment / f"{experiment}_report.csv").read_text().splitlines()
         assert lines[0] == "quantity,value"
-        for line in lines[1:]:
-            name, value = line.split(",")
-            float(value)  # raises on reprs such as np.float64(1.9)
-
-
-SQUARE_2X3 = {"model.d": 2, "model.shape": [2, 3], "model.theta": 0.5, "model.lambda": 1.0,
-              "model.beta": 0.5, "field.w": [1.0, 0.0], "disorder.kind": "iid-uniform",
-              "disorder.seed": 3}
+    lines = (tmp_path / "levy" / "levy_quantiles.csv").read_text().splitlines()
+    assert lines[0] == "t,q5,q25,q50,q75,q95"
 
 
 def test_levy_anisotropy_is_a_gate_failure(tmp_path, monkeypatch, capsys):

@@ -63,6 +63,23 @@ def test_x_integrand_trivial_zeros():
     assert np.abs(x0.x_l).max() == 0.0
 
 
+def test_x_integrand_is_the_bond_pair_sum():
+    # X_l(s1, s2) = l^-d sum_{b, b'} E_s1(b) E_s2(b') sigma_p(b, b', s1 - s2)
+    from fermicond.model import integrated_field
+    sys = make_system(4, "iid-uniform", seed=3, theta=0.5)
+    kernel, bonds, l = sys["kernel"], sys["box"].bonds, 2.0
+    sgrid = np.linspace(0.0, 1.2, 7)
+    a_l = rescale(A_BASE, l, 1.0)
+    e = np.array([[0.0 if a_l.is_off(s) else integrated_field(a_l, s, b) for b in bonds]
+                  for s in sgrid])
+    want = np.array([[sum(e[i1, ib] * e[i2, jb] * kernel.sigma_p(b, c, s1 - s2)
+                          for ib, b in enumerate(bonds) for jb, c in enumerate(bonds))
+                      for i2, s2 in enumerate(sgrid)] for i1, s1 in enumerate(sgrid)]) / l
+    x = joule_integrand_x(kernel, A_BASE, l, sgrid)
+    assert np.abs(want).max() > 1e-2
+    assert np.abs(x.x_l - want).max() <= 1e-12
+
+
 def test_x_uniform_bound():
     sys = make_system(5, "iid-uniform", seed=3, theta=0.5)
     sgrid = np.linspace(0.0, 1.5, 16)
@@ -190,13 +207,3 @@ def test_correction_term_vanishes_without_response():
     times = np.linspace(0.0, 1.0, 11)
     corr = correction_term(sys["kernel"], A_BASE, 2.0, times)
     assert corr[0] == 0.0
-
-
-def test_energy_trace_csv(tmp_path):
-    sys = make_system(4, "iid-uniform", seed=6)
-    tr = run_trace(sys, 0.1, times=np.linspace(0.0, 1.2, 7))
-    path = tmp_path / "e.csv"
-    tr.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "t,S,P,Ip,Id,S_norm,P_norm,Ip_norm,Id_norm"
-    assert len(lines) == 9

@@ -150,16 +150,3 @@ def test_drude_jump_statistics():
     tight = drude_levy_measure(DrudeSpec(T=100.0, D=1.1), 400.0, n_atoms=40000)
     frac_small = tight.weights[tight.nus <= 0.1].sum() / tight.weights.sum()
     assert frac_small > 0.9
-
-
-def test_path_dump(tmp_path):
-    triple = LevyTriple(0.2, np.array([1.0]), np.array([0.3]))
-    ens = sample_paths(triple, 50, 2.0, 0.1, seed=12)
-    out = tmp_path / "paths.npz"
-    ens.dump_paths(out)
-    data = np.load(out)
-    assert np.array_equal(data["paths"], ens.paths)
-    assert np.array_equal(data["times"], ens.times)
-    csv = tmp_path / "q.csv"
-    ens.quantiles_csv(csv)
-    assert csv.read_text().splitlines()[0] == "t,q5,q25,q50,q75,q95"

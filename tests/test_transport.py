@@ -5,10 +5,10 @@ from scipy.linalg import expm
 from fermicond.equilibrium import GibbsState, SpectralData, duhamel, heisenberg, \
     _simpson_weights
 from fermicond.fock import FockRep, OperatorMatrix, opnorm, time_reversal
-from fermicond.lattice import Box, DisorderDistribution
+from fermicond.lattice import Box, DisorderDistribution, shift
 from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_hopping,
                              flat_pulse, peierls_hopping, rescale)
-from fermicond.transport import (CurrentDensityTrace, NotABondError, TransportKernel,
+from fermicond.transport import (NotABondError, TransportKernel,
                                  current_obs, diamagnetic_obs, disorder_average,
                                  driven_currents, fluctuation, green_kubo_residual,
                                  ohm_linear, paramagnetic_partner_obs, thermal_current)
@@ -227,6 +227,22 @@ def test_thermal_current_cases():
     assert np.abs(thermal_current(sysc["kernel"])).max() <= 1e-12
 
 
+def test_thermal_current_is_the_bond_sum():
+    # the kernel's eigenbasis sums equal sum_x rho(I_(x+e_k, x)) bond by bond; a
+    # state built from other hoppings carries a net current, so each bond's
+    # orientation shows
+    sysa = make_system(shape=(2, 3), d=2, kind="iid-uniform", seed=8, theta=0.9)
+    sysb = make_system(shape=(2, 3), d=2, kind="iid-uniform", seed=9, theta=0.9)
+    box, rep, omega, state = sysa["box"], sysa["rep"], sysa["omega"], sysb["state"]
+    kernel = TransportKernel(rep, box, omega, 0.9, state)
+    unit = np.eye(2, dtype=int)
+    want = np.array([sum(state.expect(current_obs(rep, box, (shift(x, e), x), omega, 0.9)).real
+                         for x in box.sites if shift(x, e) in box.index) / len(box)
+                     for e in unit])
+    assert np.abs(want).max() > 1e-3
+    assert np.abs(thermal_current(kernel) - want).max() <= 1e-13
+
+
 def test_bond_currents_nonzero_with_flux():
     # complex hoppings around plaquettes drive circulating bond currents
     sysc = make_system(shape=(2, 3), d=2, kind="iid-uniform", seed=8, theta=0.9)
@@ -367,16 +383,6 @@ def test_continuity_equation():
         cur = 1j * (m - m.conj().T)  # I_(y,x) built from Delta^A
         inflow += np.trace(rhos[i_probe] @ cur).real
     assert abs(dn_dt - inflow) <= 1e-6
-
-
-def test_current_density_trace_csv(tmp_path):
-    tr = CurrentDensityTrace(np.array([0.0, 1.0]), np.zeros(1),
-                             np.array([[0.0], [1.0]]), np.zeros((2, 1)), 0.1)
-    path = tmp_path / "j.csv"
-    tr.to_csv(path, {"seed": 1})
-    lines = path.read_text().splitlines()
-    assert lines[1] == "t,J_p[0],J_d[0]"
-    assert len(lines) == 4
 
 
 def test_ohm_d2_transpose_convolution():
