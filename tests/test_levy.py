@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fermicond.config import ExperimentConfig
+from fermicond.experiments import build_system, run_experiment
 from fermicond.levy import (AnisotropyError, LevyTriple, char_exponent,
                             drude_jump_stats, drude_levy_measure, from_conductivity,
                             sample_paths, validate_char)
@@ -88,6 +90,32 @@ def test_symmetric_measure_zero_mean():
     m = ens.paths[:, -1].mean()
     se = ens.paths[:, -1].std(ddof=1) / np.sqrt(ens.n_paths)
     assert abs(m) <= 3 * se
+
+
+def test_path_dump(tmp_path, monkeypatch):
+    # levy_quantiles.csv is the experiment's dump of its sampled paths: one
+    # row per grid time, the 5/25/50/75/95% quantiles of F_t over the paths
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = ExperimentConfig.from_dict({
+        "model": {"d": 1, "sites": 5, "theta": 0.0, "lambda": 0.0, "beta": 1.0,
+                  "interaction": "none"},
+        "field": {"shape": "flat-sin2", "t0": 0.0, "t1": 1.0, "w": [1.0]},
+        "disorder": {"kind": "deterministic-zero", "seed": 11, "n_samples": 1},
+        "run": {"t_max": 5.0, "n_times": 41, "dt": 0.02, "workers": 1},
+    })
+    manifest = run_experiment("levy", cfg, tmp_path / "out")
+    assert manifest["gate_failures"] == [], manifest["gate_failures"]
+    header, *rows = (tmp_path / "out" / "levy_quantiles.csv").read_text().splitlines()
+    assert header == "t,q5,q25,q50,q75,q95"
+    table = np.array([[float(c) for c in row.split(",")] for row in rows])
+    kernel = build_system(cfg, 0).kernel
+    meas = extract_measure(kernel, {})
+    triple = from_conductivity(meas, np.array([1.0]), kernel.xi_minus_sup())
+    ens = sample_paths(triple, n=20000, t_max=5.0, dt=0.05, seed=cfg.disorder.seed)
+    assert np.array_equal(table[:, 0], ens.times)
+    qs = np.quantile(ens.paths, (0.05, 0.25, 0.5, 0.75, 0.95), axis=0).T
+    assert np.array_equal(table[:, 1:], qs)
+    assert np.all(np.diff(table[:, 1:], axis=1) >= 0.0)
 
 
 def test_stationary_increments():
