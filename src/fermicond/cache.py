@@ -15,7 +15,7 @@ import numpy as np
 
 from .equilibrium import SpectralData
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2  # 2: U is built per number sector
 ENV_VAR = "FERMICOND_CACHE_DIR"
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .fock import OperatorMatrix, number_sectors, opnorm_mat
+from .fock import (OperatorMatrix, block_layout, commutator, number_sectors, opnorm_mat,
+                   sector_blocks)
 
 CONDITIONING_LIMIT = 1e12
 
@@ -42,9 +43,31 @@ def _hash_matrix(m: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
+def _sector_eigh(mat: np.ndarray, grids) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of each number-sector block; eigenvalues in global ascending order
+    (stable sort of the concatenation), U dense with exact zeros off the blocks."""
+    parts = [np.linalg.eigh(mat[ix]) for ix in grids]
+    evals = np.concatenate([e for e, _ in parts])
+    order = np.argsort(evals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))  # global position of each eigenpair
+    evecs = np.zeros(mat.shape, dtype=np.result_type(*(v for _, v in parts)))
+    start = 0
+    for ix, (_, v) in zip(grids, parts):
+        evecs[ix[0], column[None, start:start + len(v)]] = v
+        start += len(v)
+    return evals[order], evecs
+
+
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition H = U diag(E) U^dagger, eigenvalues ascending."""
+    """Eigendecomposition H = U diag(E) U^dagger, eigenvalues ascending.
+
+    When H conserves the particle number, each eigenvector lives in one number
+    sector and U is exactly zero elsewhere; basis changes then run block by
+    block.  A U that mixes sectors (or a dim that is not a power of 2) takes
+    the dense route.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -58,8 +81,10 @@ class SpectralData:
         herm_defect = float(np.linalg.norm(mat - mat.conj().T))
         if herm_defect > 1e-10 * max(1.0, float(np.abs(mat).max(initial=0.0))):
             raise DiagonalizationError(f"matrix not self-adjoint (defect {herm_defect})")
+        grids = sector_blocks(mat)
         try:
-            evals, evecs = np.linalg.eigh(mat)
+            evals, evecs = (np.linalg.eigh(mat) if grids is None
+                            else _sector_eigh(mat, grids))
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
         return cls(evals, evecs, _hash_matrix(mat))
@@ -68,13 +93,43 @@ class SpectralData:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    @cached_property
+    def _blocks(self) -> tuple | None:
+        """((Fock-basis grid, eigenbasis grid, U block) per number sector, mask
+        of the eigenbasis entries off the blocks), read off the exact zeros of
+        U; None unless every eigenvector is supported on exactly one sector."""
+        sectors = number_sectors(self.dim)
+        if len(sectors) < 2:
+            return None
+        nonzero = self.eigenvectors != 0
+        support = np.array([nonzero[idx].any(axis=0) for idx in sectors])
+        if (support.sum(axis=0) != 1).any():
+            return None
+        cols = [np.flatnonzero(row) for row in support]
+        eig_grids, eig_off = block_layout(cols)
+        per_sector = tuple((np.ix_(idx, idx), eix, self.eigenvectors[np.ix_(idx, c)])
+                           for idx, c, eix in zip(sectors, cols, eig_grids))
+        return per_sector, eig_off
+
     def to_eigenbasis(self, mat: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
-        return u.conj().T @ mat @ u
+        blocks = self._blocks
+        if blocks is None or sector_blocks(mat) is None:
+            return u.conj().T @ mat @ u
+        out = np.zeros(mat.shape, dtype=np.result_type(mat, u))
+        for fix, eix, uk in blocks[0]:
+            out[eix] = uk.conj().T @ mat[fix] @ uk
+        return out
 
     def from_eigenbasis(self, mat: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
-        return u @ mat @ u.conj().T
+        blocks = self._blocks
+        if blocks is None or mat[blocks[1]].any():
+            return u @ mat @ u.conj().T
+        out = np.zeros(mat.shape, dtype=np.result_type(mat, u))
+        for fix, eix, uk in blocks[0]:
+            out[fix] = uk @ mat[eix] @ uk.conj().T
+        return out
 
     def verify(self, h: np.ndarray, tol: float = 1e-10) -> bool:
         rec = self.from_eigenbasis(np.diag(self.eigenvalues))
@@ -196,18 +251,6 @@ def _expm_herm(h: np.ndarray, dt: float) -> np.ndarray:
     return (evecs * np.exp(-1j * dt * evals)[None, :]) @ evecs.conj().T
 
 
-@cache
-def _sector_layout(dim: int) -> tuple[list, np.ndarray]:
-    """Index grids of the particle-number sectors and the mask of the entries
-    off them."""
-    grids = [np.ix_(idx, idx) for idx in number_sectors(dim)]
-    off = np.ones((dim, dim), dtype=bool)
-    for ix in grids:
-        off[ix] = False
-    off.flags.writeable = False  # shared by every caller through the cache
-    return grids, off
-
-
 def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> np.ndarray:
     """Fourth-order commutator-free step U(t + dt, t) for i d/dt psi = H(t) psi.
 
@@ -218,8 +261,8 @@ def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> 
     h2 = h_of_t(t + _CF4_C[1] * dt)
     a1, a2 = _CF4_A
     g1, g2 = a1 * h1 + a2 * h2, a2 * h1 + a1 * h2
-    grids, off = _sector_layout(len(g1))
-    if g1[off].any() or g2[off].any():
+    grids = sector_blocks(g1)
+    if grids is None or sector_blocks(g2) is None:
         grids = [(slice(None), slice(None))]  # not number-conserving: one block
     u = np.zeros(g1.shape, dtype=complex)
     for ix in grids:
@@ -232,7 +275,8 @@ def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: fl
     """Drive rho0 with H(t) = h_of_t(t) and return [observe(t, rho_t) for t in grid].
 
     Each gap [ta, tb] of the grid is split into the fewest equal steps no longer
-    than dt, so every grid time is hit exactly; rho_t = U rho U^dagger.
+    than dt, so every grid time is hit exactly; rho_t = U rho U^dagger, block
+    by block over the number sectors when both U and rho are exactly zero off them.
     """
     grid = np.asarray(grid, dtype=float)
     rho = rho0
@@ -242,7 +286,15 @@ def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: fl
         step = (tb - ta) / n
         for j in range(n):
             u = step_unitary(h_of_t, ta + j * step, step)
-            rho = u @ rho @ u.conj().T
+            grids = sector_blocks(u)
+            if grids is None or sector_blocks(rho) is None:
+                rho = u @ rho @ u.conj().T
+            else:
+                rho_next = np.zeros(rho.shape, dtype=np.result_type(u, rho))
+                for ix in grids:
+                    uk = u[ix]
+                    rho_next[ix] = uk @ rho[ix] @ uk.conj().T
+                rho = rho_next
         out.append(observe(tb, rho))
     return out
 
@@ -339,7 +391,7 @@ def lieb_robinson_check(b1: OperatorMatrix, supp1, b2: OperatorMatrix, supp2,
     if b1.parity != "even":
         raise ValueError("B1 must be even for the Lieb-Robinson bound")
     evolved = heisenberg(b1, t, spectral)
-    lhs = opnorm_mat(evolved.mat @ b2.mat - b2.mat @ evolved.mat)
+    lhs = opnorm_mat(commutator(evolved, b2).mat)
     geom = sum(decay(np.linalg.norm(np.array(x) - np.array(y)))
                for x in s1 for y in s2)
     n1, n2 = norms if norms is not None else (opnorm_mat(b1.mat), opnorm_mat(b2.mat))

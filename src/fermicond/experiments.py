@@ -25,7 +25,7 @@ from .csvout import write_csv
 from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
                           work_functional)
 from .fock import (FockRep, OperatorMatrix, anticommutator, bilinear, build_annihilators,
-                   opnorm)
+                   opnorm, opnorm_mat)
 from .joule import energy_increments, joule_integrand_x
 from .lattice import Box, DisorderDistribution, shift
 from .levy import (AnisotropyError, char_exponent, from_conductivity, sample_paths,
@@ -371,8 +371,7 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
             for j in range(i, len(ann)):
                 worst = max(worst, opnorm(anticommutator(ann[i], ann[j])))
                 delta = np.eye(rep.dim) * (1.0 if i == j else 0.0)
-                worst = max(worst, float(np.linalg.norm(
-                    anticommutator(ann[i], ann[j].H).mat - delta, 2)))
+                worst = max(worst, opnorm_mat(anticommutator(ann[i], ann[j].H).mat - delta))
     check("car-anticommutators", worst <= 1e-12, f"defect {worst:.2e}")
 
     t_grid = cfg.run.times()

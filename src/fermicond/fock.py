@@ -94,9 +94,18 @@ class OperatorMatrix:
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """[A, B], block by block over the number sectors when both conserve N."""
     if a.dim != b.dim:
         raise ShapeMismatchError(f"{a.dim} != {b.dim}")
-    return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, _combine_parity(a.parity, b.parity))
+    par = _combine_parity(a.parity, b.parity)
+    grids = sector_blocks(a.mat)
+    if grids is None or sector_blocks(b.mat) is None:
+        return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, par)
+    out = np.zeros((a.dim, a.dim), dtype=complex)
+    for ix in grids:
+        ak, bk = a.mat[ix], b.mat[ix]
+        out[ix] = ak @ bk - bk @ ak
+    return OperatorMatrix(out, par)
 
 
 def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -106,10 +115,14 @@ def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def opnorm_mat(m: np.ndarray) -> float:
-    """Spectral norm; trivial shapes short-circuited."""
+    """Spectral norm; trivial shapes short-circuited.  A matrix that is exactly
+    zero off the number sectors has the largest of its block norms (exact)."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    grids = sector_blocks(m)
+    if grids is None:
+        return float(np.linalg.norm(m, 2))
+    return max(float(np.linalg.norm(m[ix], 2)) for ix in grids)
 
 
 def opnorm(a: OperatorMatrix) -> float:
@@ -129,6 +142,41 @@ def number_sectors(dim: int) -> tuple[np.ndarray, ...]:
     for idx in sectors:
         idx.flags.writeable = False  # shared by every caller through the cache
     return sectors
+
+
+def block_layout(groups) -> tuple[tuple, np.ndarray]:
+    """np.ix_ grids of the diagonal blocks spanned by disjoint index groups and
+    the read-only mask of the entries off those blocks."""
+    dim = sum(len(idx) for idx in groups)
+    grids = tuple(np.ix_(idx, idx) for idx in groups)
+    off = np.ones((dim, dim), dtype=bool)
+    for ix in grids:
+        off[ix] = False
+    off.flags.writeable = False  # shared by every caller through the caches
+    return grids, off
+
+
+@cache
+def _sector_layout(dim: int) -> tuple[tuple, np.ndarray] | None:
+    sectors = number_sectors(dim)
+    return block_layout(sectors) if len(sectors) > 1 else None
+
+
+def sector_blocks(m: np.ndarray) -> tuple | None:
+    """np.ix_ grids of the particle-number sectors if m is exactly zero off
+    them, else None (also for a dim that is not a power of 2, or one sector).
+
+    H, W_t, bond observables, Gibbs data and their products are exactly zero
+    off the sectors, so their eigenproblems, basis changes, norms and
+    commutators split into independent blocks (the symmetry-block idiom of
+    exact diagonalisation, cf. Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return None
+    layout = _sector_layout(m.shape[0])
+    if layout is None or m[layout[1]].any():
+        return None
+    return layout[0]
 
 
 class FockRep:

@@ -45,11 +45,6 @@ def canonical_bond(x: Site, y: Site) -> Bond:
     return (x, y) if x <= y else (y, x)
 
 
-def is_nn(x: Site, y: Site) -> bool:
-    """True when |x - y| = 1 (Euclidean), i.e. a nearest-neighbor pair."""
-    return sum((a - b) ** 2 for a, b in zip(x, y)) == 1
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Symmetric box Lambda_l = {x : |x_i| <= l} of Z^d."""

@@ -76,9 +76,6 @@ class MatrixMeasure:
             return np.zeros((self.dim, self.dim))
         return 2.0 * self.ac_weights().sum(axis=0)
 
-    def micro_total(self) -> np.ndarray:
-        return self.ac_total()
-
     def total_mass(self) -> np.ndarray:
         """mu(R): zero atom plus both mirrored sides."""
         out = self.zero_atom.copy()

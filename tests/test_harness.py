@@ -4,12 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from fermicond import cache as cache_module
 from fermicond.cache import CacheCorruptionError, CacheCorruptionWarning, SpectralCache
 from fermicond.cli import main
 from fermicond.config import ConfigError, ExperimentConfig
 from fermicond.equilibrium import DiagonalizationError, SpectralData
 from fermicond.csvout import write_csv
 from fermicond.experiments import REGISTRY, UnknownExperimentError, build_system, run_experiment
+from fermicond.lattice import DisorderDistribution
+from fermicond.model import build_hamiltonian
 
 
 BASE_CONFIG = {
@@ -139,6 +142,36 @@ def test_cache_key_separates_disorder_kinds(tmp_path, monkeypatch):
         again = build_system(cfg, 0)
         assert np.array_equal(again.spectral.eigenvalues, first.spectral.eigenvalues)
     assert calls == []
+
+
+def test_cache_format_bump_rebuilds_old_entries(tmp_path, monkeypatch):
+    # an entry of format 1 (a dense U from one full eigh) is not served; the
+    # rebuilt entry holds the sector eigenvectors and hits with no eigh
+    monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
+    cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    cfg.run.cache_dir = str(tmp_path / "cache")
+    cfg.disorder.kind = "iid-uniform"
+    fresh = build_system(cfg, 0, use_cache=False)
+    m = cfg.model
+    h = build_hamiltonian(fresh.rep, fresh.box, fresh.omega, m.theta, m.lam, m.ip())
+    key = f"{cfg.model_hash()}:{cfg.disorder.kind}"
+    seed = DisorderDistribution(cfg.disorder.kind, cfg.disorder.seed).derived(0).seed
+    cache = SpectralCache(cfg.run.cache_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
+        cache.put(key, seed, SpectralData(*np.linalg.eigh(h.mat), fresh.spectral.source_hash))
+        assert cache.get(key, seed) is not None
+    assert cache_module.CACHE_FORMAT_VERSION > 1
+    assert cache.get(key, seed) is None
+    calls = _count_diagonalizations(monkeypatch)
+    rebuilt = build_system(cfg, 0).spectral
+    assert len(calls) == 1
+    assert rebuilt._blocks is not None
+    assert cache.stats()["entries"] == 2
+    again = build_system(cfg, 0).spectral
+    assert len(calls) == 1
+    assert np.array_equal(again.eigenvectors, fresh.spectral.eigenvectors)
+    assert again._blocks is not None
 
 
 @pytest.mark.parametrize("damage", ["flip-byte", "drop-sidecar"])

@@ -1,0 +1,249 @@
+"""Number-sector route of the spectral primitives against the dense route.
+
+H, the bond observables and the Gibbs data are exactly zero off the
+particle-number sectors, so eigh, the basis changes, spectral norms and
+commutators run block by block.  The oracle is a SpectralData from a plain
+np.linalg.eigh, evaluated with the sector detector switched off
+(dense_route), which is the path every operator that mixes sectors keeps.
+Eigenbases differ inside degenerate subspaces, so the two routes are compared
+on basis-invariant quantities (spectra, reconstructions, tau_t, rho, norms,
+merged atoms) or on the same U.
+"""
+
+import functools
+from contextlib import contextmanager
+from itertools import product
+
+import numpy as np
+import pytest
+
+from fermicond import fock
+from fermicond.equilibrium import (GibbsState, SpectralData, evolve, heisenberg,
+                                   lieb_robinson_check)
+from fermicond.experiments import DEFAULT_BATTERY
+from fermicond.fock import FockRep, commutator, opnorm_mat, sector_blocks
+from fermicond.lattice import Box, DisorderDistribution, shift
+from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_w,
+                             flat_pulse, rescale)
+from fermicond.transport import TransportKernel, current_obs
+
+TOL = 1e-12
+
+
+def _cases():
+    bat = DEFAULT_BATTERY
+    dist = DisorderDistribution("iid-uniform", 20240901)
+    cases = {}
+    for n, theta, lam, kind in product(bat["sites"], bat["thetas"], bat["lambdas"],
+                                       bat["interactions"]):
+        box = Box.chain(n)
+        cases[f"N{n}-th{theta}-l{lam}-{kind}"] = (
+            box, dist.derived(n).sample(box), theta, lam,
+            InterparticleInteraction(kind, U=1.0 if kind == "hubbard" else 0.0))
+    rect = Box.rect((2, 3))
+    cases["rect-2x3"] = (rect, DisorderDistribution("iid-uniform", 5).sample(rect), 0.5,
+                         1.0, InterparticleInteraction("hubbard", U=0.7))
+    return cases
+
+
+CASES = _cases()
+
+
+@contextmanager
+def dense_route():
+    """Every primitive on its dense path: no sector layout, no U blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_sector_layout", lambda dim: None)
+        mp.setattr(SpectralData, "_blocks", None)
+        yield
+
+
+@functools.cache
+def _system(label):
+    box, omega, theta, lam, ip = CASES[label]
+    rep = FockRep.of_box(box)
+    h = build_hamiltonian(rep, box, omega, theta, lam, ip)
+    bonds = [(shift(x, e), x) for e in np.eye(box.dim, dtype=int) for x in box.sites
+             if shift(x, e) in box.index]
+    b1, b2 = (current_obs(rep, box, b, omega, theta) for b in (bonds[0], bonds[-1]))
+    return {"box": box, "rep": rep, "omega": omega, "theta": theta, "h": h,
+            "bonds": (bonds[0], bonds[-1]), "b1": b1, "b2": b2,
+            "sd": SpectralData.from_hamiltonian(h)}
+
+
+def _oracle(sys):
+    """Plain eigh; use it only inside dense_route."""
+    evals, evecs = np.linalg.eigh(sys["h"].mat)
+    return SpectralData(evals, evecs, "dense")
+
+
+def _off_sector(dim):
+    n = np.bitwise_count(np.arange(dim))
+    return n[:, None] != n[None, :]
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_sector_spectrum_and_reconstruction(label):
+    sys = _system(label)
+    sd, h = sys["sd"], sys["h"].mat
+    assert sd._blocks is not None  # the sector route was taken
+    n = np.bitwise_count(np.arange(sd.dim))
+    # each eigenvector lives in one sector: U is exactly zero elsewhere
+    sector_of = [int(n[np.flatnonzero(col)[0]]) for col in sd.eigenvectors.T]
+    assert not np.any(sd.eigenvectors[n[:, None] != np.array(sector_of)[None, :]])
+    assert np.all(np.diff(sd.eigenvalues) >= 0)
+    with dense_route():
+        oracle = _oracle(sys)
+        assert np.abs(sd.eigenvalues - oracle.eigenvalues).max() <= TOL
+    u = sd.eigenvectors
+    assert np.abs((u * sd.eigenvalues) @ u.conj().T - h).max() <= TOL
+    assert np.abs(u.conj().T @ u - np.eye(sd.dim)).max() <= TOL
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_sector_basis_changes_and_heisenberg(label):
+    sys = _system(label)
+    sd, b = sys["sd"], sys["b1"]
+    u = sd.eigenvectors
+    bt = sd.to_eigenbasis(b.mat)
+    assert np.abs(bt - u.conj().T @ b.mat @ u).max() <= TOL
+    assert np.abs(sd.from_eigenbasis(bt) - b.mat).max() <= TOL
+    evolved = heisenberg(b, 0.7, sd)
+    assert not np.any(evolved.mat[_off_sector(sd.dim)])
+    with dense_route():
+        ref = heisenberg(b, 0.7, _oracle(sys))
+    assert np.abs(evolved.mat - ref.mat).max() <= TOL
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_sector_gibbs_density(label):
+    sys = _system(label)
+    for beta in DEFAULT_BATTERY["betas"]:
+        rho = GibbsState.of(sys["sd"], beta).density
+        assert sector_blocks(rho) is not None
+        with dense_route():
+            ref = GibbsState.of(_oracle(sys), beta).density
+        assert np.abs(rho - ref).max() <= TOL
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_sector_norms_commutators_and_lieb_robinson(label):
+    sys = _system(label)
+    h, b1, b2 = sys["h"], sys["b1"], sys["b2"]
+    for op in (h, b1, b2, b1 @ b2):
+        assert abs(opnorm_mat(op.mat) - np.linalg.norm(op.mat, 2)) <= TOL * max(
+            1.0, np.linalg.norm(op.mat, 2))
+    for a, b in ((h, b1), (b1, b2), (b1 @ b2, h)):
+        assert np.abs(commutator(a, b).mat - (a.mat @ b.mat - b.mat @ a.mat)).max() <= TOL
+    supp1, supp2 = sys["bonds"]
+    args = (b1, supp1, b2, supp2, 1.3)
+    bound = (lambda r: 1.0, 1.0, 1.0)
+    lhs = lieb_robinson_check(*args, sys["sd"], *bound)["lhs"]
+    with dense_route():
+        ref = lieb_robinson_check(*args, _oracle(sys), *bound)["lhs"]
+    assert abs(lhs - ref) <= TOL
+
+
+@pytest.mark.parametrize("label", CASES)
+def test_sector_kernel_atoms(label):
+    sys = _system(label)
+    args = (sys["rep"], sys["box"], sys["omega"], sys["theta"])
+    k = TransportKernel(*args, GibbsState.of(sys["sd"], 1.0))
+    with dense_route():
+        ref = TransportKernel(*args, GibbsState.of(_oracle(sys), 1.0))
+    assert k.atom_nu.shape == ref.atom_nu.shape and len(k.atom_nu) > 0
+    for name in ("atom_nu", "atom_sym", "atom_asym", "zero_weight", "zero_weight_nu2"):
+        assert np.abs(getattr(k, name) - getattr(ref, name)).max() <= TOL, name
+
+
+def _drive(sys):
+    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=6.0), 2.0, 0.4)
+
+    def h_of_t(t):
+        return sys["h"].mat + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
+                                      a, t).mat
+
+    return h_of_t
+
+
+def test_sector_driven_density_matches_dense():
+    sys = _system("N6-th0.5-l1.0-hubbard")
+    h_of_t = _drive(sys)
+    grid, dt = np.linspace(0.0, 1.2, 7), 0.05
+
+    def keep(t, rho):
+        return rho
+
+    rhos = evolve(GibbsState.of(sys["sd"], 1.0).density, h_of_t, grid, dt, keep)
+    with dense_route():
+        refs = evolve(GibbsState.of(_oracle(sys), 1.0).density, h_of_t, grid, dt, keep)
+    for rho, ref in zip(rhos, refs):
+        assert sector_blocks(rho) is not None
+        assert np.abs(rho - ref).max() <= TOL
+
+
+# -- the dense route stays the general case ------------------------------------
+
+def test_number_changing_terms_take_dense_route():
+    sys = _system("N6-th0.5-l1.0-hubbard")
+    sd, h, b1 = sys["sd"], sys["h"], sys["b1"]
+    a = sys["rep"].annihilator(sys["rep"].site_order[2])
+    odd = 0.3 * (a + a.H)  # changes the particle number by one
+    assert sector_blocks(odd.mat) is None
+    # in H: one full eigh
+    mixed = SpectralData.from_hamiltonian(h + odd)
+    evals, evecs = np.linalg.eigh((h + odd).mat)
+    assert np.array_equal(mixed.eigenvalues, evals)
+    assert np.array_equal(mixed.eigenvectors, evecs)
+    assert mixed._blocks is None
+    # in an operand: dense basis changes, norms and commutators
+    op = b1 + odd
+    u = sd.eigenvectors
+    assert np.array_equal(sd.to_eigenbasis(op.mat), u.conj().T @ op.mat @ u)
+    assert opnorm_mat(op.mat) == float(np.linalg.norm(op.mat, 2))
+    assert np.array_equal(commutator(h, op).mat, h.mat @ op.mat - op.mat @ h.mat)
+    evolved = heisenberg(op, 0.7, sd)
+    with dense_route():
+        ref = heisenberg(op, 0.7, _oracle(sys))
+    assert np.abs(evolved.mat - ref.mat).max() <= TOL
+    # driven by a number-changing generator: one-block steps, dense rho update
+    h_of_t = _drive(sys)
+
+    def h_mixed(t):
+        return h_of_t(t) + odd.mat
+
+    rho = GibbsState.of(sd, 1.0).density
+    grid = [0.0, 0.3]
+    out = evolve(rho, h_mixed, grid, 0.05, lambda t, r: r)[-1]
+    with dense_route():
+        ref = evolve(rho, h_mixed, grid, 0.05, lambda t, r: r)[-1]
+    assert np.any(out[_off_sector(len(out))])
+    assert np.abs(out - ref).max() <= TOL
+
+
+def test_dense_eigenvectors_stay_dense():
+    # H = 0 is diagonalized by any unitary; a random one mixes every sector
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    sd = SpectralData(np.zeros(16), q, "mixed")
+    assert sd._blocks is None
+    rep = FockRep.of_box(Box.chain(4))
+    x, y = rep.site_order[:2]
+    b = rep.number(y).mat + fock.bilinear(rep, x, y, 0.5).mat
+    assert sector_blocks(b) is not None
+    assert np.array_equal(sd.to_eigenbasis(b), q.conj().T @ b @ q)
+    assert np.array_equal(sd.from_eigenbasis(b), q @ b @ q.conj().T)
+
+
+def test_sector_blocks_detector():
+    assert sector_blocks(np.eye(12)) is None  # not a power of 2
+    assert sector_blocks(np.eye(1)) is None   # one sector
+    assert sector_blocks(np.ones((2, 3))) is None
+    grids = sector_blocks(np.eye(16))
+    assert [len(ix[0]) for ix in grids] == [1, 4, 6, 4, 1]
+    assert sector_blocks(np.zeros((16, 16))) is grids  # cached layout
+    m = np.eye(16, dtype=complex)
+    m[0, 1] = 1e-300  # popcount 0 -> 1
+    assert sector_blocks(m) is None
+    rep = FockRep.of_box(Box.chain(4))
+    assert sector_blocks(rep.total_number().mat) is grids
