@@ -462,9 +462,9 @@ def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
         if y1 not in box.index or not box.has_bond(y0, y1):
             continue
         if b1 is None:
-            b1 = current_obs(sys0.rep, box, (x1, x0), sys0.omega, cfg.model.theta)
+            b1 = current_obs(sys0.rep, box, [(x1, x0)], sys0.omega, cfg.model.theta)
             norm1 = opnorm(b1)
-        b2 = current_obs(sys0.rep, box, (y1, y0), sys0.omega, cfg.model.theta)
+        b2 = current_obs(sys0.rep, box, [(y1, y0)], sys0.omega, cfg.model.theta)
         norms = (norm1, opnorm(b2))
         for t in (0.5, 1.0, 2.0):
             res = lieb_robinson_check(b1, (x0, x1), b2, (y0, y1), t,

@@ -249,9 +249,6 @@ class FockRep:
     def annihilator(self, site) -> OperatorMatrix:
         return OperatorMatrix(self._annihilator_mats[self.mode(site)], "odd")
 
-    def creator(self, site) -> OperatorMatrix:
-        return OperatorMatrix(self._annihilator_mats[self.mode(site)].conj().T, "odd")
-
     def identity(self) -> OperatorMatrix:
         return OperatorMatrix(np.eye(self.dim), "even")
 

@@ -93,13 +93,6 @@ class MatrixMeasure:
     def spectral_diameter(self) -> float:
         return float(self.nus.max()) if len(self.nus) else 0.0
 
-    def ac_tail(self, nu0: float) -> np.ndarray:
-        """mu_AC([nu0, infinity)) (one-sided tail, matrix-valued)."""
-        if len(self.nus) == 0:
-            return np.zeros((self.dim, self.dim))
-        sel = self.nus >= nu0
-        return self.ac_weights()[sel].sum(axis=0) if sel.any() else np.zeros((self.dim, self.dim))
-
     def to_csv(self, path) -> Path:
         d = self.dim
         cols = ["nu"] + [f"w[{k}][{q}]" for k in range(d) for q in range(d)]

@@ -147,20 +147,6 @@ class InterparticleInteraction:
                     if c != 0.0:
                         yield (x, y), c
 
-    def term_norms(self):
-        """(separation, coeff-norm) pairs of the translation-invariant family."""
-        if self.kind == "none":
-            return []
-        if self.kind == "hubbard":
-            return [(0.0, abs(self.U))]
-        out = []
-        v0 = self.v(0.0)
-        if v0 != 0.0:
-            out.append((0.0, abs(v0)))
-        for r in range(1, self.range_ + 1):
-            out.append((float(r), abs(self.v(float(r)))))
-        return out
-
 
 def interaction_norm(ip: InterparticleInteraction, f: DecayFunction, box: Box) -> float:
     """Finite-box ||Psi_IP||_W = sup_{x,y} sum_{Lambda containing x,y} |coeff| / F(|x-y|).

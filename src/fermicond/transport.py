@@ -45,17 +45,40 @@ def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Si
     return val if (x, y) == (lo, hi) else np.conj(val)
 
 
-def current_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: float) -> OperatorMatrix:
-    """I_x = -2 Im(<e_x1, Delta e_x2> a_x1^* a_x2) = i(c a1* a2 - conj(c) a2* a1)."""
-    m = bilinear(rep, *bond, _hopping_entry(box, omega, theta, *bond)).mat
-    return OperatorMatrix(1j * (m - m.conj().T), "even")
+def axis_bonds(box: Box, k: int) -> list:
+    """Oriented bonds (x + e_k, x) of the box along axis k, in site order."""
+    e = np.eye(box.dim, dtype=int)[k]
+    return [(shift(x, e), x) for x in box.sites if shift(x, e) in box.index]
 
 
-def paramagnetic_partner_obs(rep: FockRep, box: Box, bond, omega: DisorderSample,
+def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
+                   pair: Callable[[complex], tuple[complex, complex]]) -> np.ndarray:
+    """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(c_b), scattered
+    from the hop triples; distinct bonds have disjoint supports, so the sum
+    holds exactly the entries of the single-bond matrices."""
+    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for x1, x2 in bonds:
+        f, g = pair(_hopping_entry(box, omega, theta, x1, x2))
+        rows, cols, signs = rep.hop(x1, x2)
+        m[rows, cols] += f * signs
+        m[cols, rows] += g * signs
+    return m
+
+
+def current_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
+                theta: float) -> OperatorMatrix:
+    """sum over oriented bonds (x1, x2) of I = -2 Im(<e_x1, Delta e_x2> a_x1^* a_x2)
+    = i(c a1* a2 - conj(c) a2* a1); a single bond is passed as [bond]."""
+    return OperatorMatrix(
+        _scatter_bonds(rep, box, bonds, omega, theta, lambda c: (1j * c, -1j * np.conj(c))),
+        "even")
+
+
+def paramagnetic_partner_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
                              theta: float) -> OperatorMatrix:
-    """P_x = 2 Re(<e_x1, Delta e_x2> a_x1^* a_x2)."""
-    m = bilinear(rep, *bond, _hopping_entry(box, omega, theta, *bond)).mat
-    return OperatorMatrix(m + m.conj().T, "even")
+    """sum over oriented bonds (x1, x2) of P = 2 Re(<e_x1, Delta e_x2> a_x1^* a_x2)."""
+    return OperatorMatrix(
+        _scatter_bonds(rep, box, bonds, omega, theta, lambda c: (c, np.conj(c))), "even")
 
 
 def diamagnetic_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: float,
@@ -107,24 +130,18 @@ class TransportKernel:
         sd = state.spectral
         e = sd.eigenvalues
 
-        unit = np.eye(box.dim, dtype=int)
         self.volume = len(box)
 
-        # summed directional currents J_k and kinetic partners over the box
+        # summed directional currents J_k over the box, in the eigenbasis, and
+        # Xi_d from the summed kinetic partners: one bond sum per axis
         self._bond_cache: dict = {}
-        j_ops, p_ops = [], []
+        self._j_eig = []
+        self._xi_d = np.zeros((box.dim, box.dim))
         for k in range(box.dim):
-            jm = np.zeros((rep.dim, rep.dim), dtype=complex)
-            pm = np.zeros_like(jm)
-            for x in box.sites:
-                y = shift(x, unit[k])
-                if y in box.index:
-                    jm += current_obs(rep, box, (y, x), omega, theta).mat
-                    pm += paramagnetic_partner_obs(rep, box, (y, x), omega, theta).mat
-            j_ops.append(sd.to_eigenbasis(jm))
-            p_ops.append(pm)
-        self._j_eig = j_ops
-        self._p_sum = p_ops
+            bonds = axis_bonds(box, k)
+            self._j_eig.append(sd.to_eigenbasis(current_obs(rep, box, bonds, omega, theta).mat))
+            self._xi_d[k, k] = state.expect(
+                paramagnetic_partner_obs(rep, box, bonds, omega, theta)).real / self.volume
 
         # pair data
         self.bohr = e[None, :] - e[:, None]  # nu_{mn} = E_n - E_m at [m, n]
@@ -148,39 +165,40 @@ class TransportKernel:
         nus = self.bohr[mask]
         order = np.argsort(nus)
         nus = nus[order]
-        coeffs = np.empty((d, d, len(nus)), dtype=complex)
         g = self.pair_weight[mask][order]
-        for k in range(d):
-            for q in range(d):
-                c = self._j_eig[k] * self._j_eig[q].T  # (J_k)_{mn} (J_q)_{nm}
-                coeffs[k, q] = c[mask][order] * g
-        # merge frequencies closer than tol; drop weightless atoms
-        if len(nus):
-            edges = np.concatenate(([0], np.nonzero(np.diff(nus) > tol)[0] + 1, [len(nus)]))
-            merged_nu, merged_c = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                c = coeffs[:, :, a:b].sum(axis=2)
-                if np.abs(c).max() > 1e-14:
-                    merged_nu.append(nus[a:b].mean())
-                    merged_c.append(c)
-            self.atom_nu = np.array(merged_nu)
-            catoms = (np.stack(merged_c, axis=0) / self.volume
-                      if merged_c else np.zeros((0, d, d), dtype=complex))
-        else:
-            self.atom_nu = np.zeros(0)
-            catoms = np.zeros((0, d, d), dtype=complex)
-        # Xi(t) = sum_nu 2[Re C (cos - 1) - Im C sin]
-        self.atom_sym = catoms.real  # PSD micro-measure weights at +nu (and mirrored)
-        self.atom_asym = catoms.imag
         # numerically-degenerate (|nu| ~ 0) residual weight, reported not asserted
         zmask = self._tiny & ~np.eye(len(self.state.weights), dtype=bool)
+        gz, nu2 = self.pair_weight[zmask], self.bohr[zmask] ** 2
+        coeffs = np.empty((d, d, len(nus)), dtype=complex)
         self.zero_weight = np.zeros((d, d))
         self.zero_weight_nu2 = np.zeros((d, d))  # nu^2-weighted view for mu({0})
         for k in range(d):
             for q in range(d):
-                c = (self._j_eig[k] * self._j_eig[q].T)[zmask] * self.pair_weight[zmask]
-                self.zero_weight[k, q] = c.sum().real / self.volume
-                self.zero_weight_nu2[k, q] = (c * self.bohr[zmask] ** 2).sum().real / self.volume
+                c = self._j_eig[k] * self._j_eig[q].T  # (J_k)_{mn} (J_q)_{nm}
+                coeffs[k, q] = c[mask][order] * g
+                cz = c[zmask] * gz
+                self.zero_weight[k, q] = cz.sum().real / self.volume
+                self.zero_weight_nu2[k, q] = (cz * nu2).sum().real / self.volume
+        del c  # a dense dim x dim product: free it before the merge
+        # merge runs of frequencies with gaps <= tol; drop weightless groups.
+        # Runs of one length are summed together as the rows of one contiguous
+        # array: the same pairwise reduction np.sum gives a single run, so the
+        # atoms do not depend on how the runs are batched.
+        starts = np.flatnonzero(np.diff(nus, prepend=-np.inf) > tol)
+        lengths = np.diff(starts, append=len(nus))
+        sums = np.empty((d, d, len(starts)), dtype=complex)
+        nu_sums = np.empty(len(starts))
+        for n in np.flatnonzero(np.bincount(lengths)):
+            runs = lengths == n
+            idx = starts[runs, None] + np.arange(n)
+            sums[:, :, runs] = np.take(coeffs, idx, axis=2).sum(axis=3)
+            nu_sums[runs] = np.take(nus, idx).sum(axis=1)
+        keep = np.abs(sums).max(axis=(0, 1), initial=0.0) > 1e-14
+        self.atom_nu = nu_sums[keep] / lengths[keep]
+        catoms = np.ascontiguousarray(np.moveaxis(sums[:, :, keep], 2, 0)) / self.volume
+        # Xi(t) = sum_nu 2[Re C (cos - 1) - Im C sin]
+        self.atom_sym = catoms.real  # PSD micro-measure weights at +nu (and mirrored)
+        self.atom_asym = catoms.imag
 
     # -- coefficient evaluation ---------------------------------------------
 
@@ -208,11 +226,7 @@ class TransportKernel:
         return float(sum(2.0 * np.linalg.norm(a, 2) for a in self.atom_asym))
 
     def xi_d(self) -> np.ndarray:
-        d = self.dim_space
-        out = np.zeros((d, d))
-        for k in range(d):
-            out[k, k] = self.state.expect(self._p_sum[k]).real / self.volume
-        return out
+        return self._xi_d.copy()
 
     def series(self, times, provenance: Optional[dict] = None) -> TransportSeries:
         times = np.asarray(times, dtype=float)
@@ -224,7 +238,7 @@ class TransportKernel:
     def bond_current_eig(self, bond) -> np.ndarray:
         key = ("I", bond)
         if key not in self._bond_cache:
-            mat = current_obs(self.rep, self.box, bond, self.omega, self.theta).mat
+            mat = current_obs(self.rep, self.box, [bond], self.omega, self.theta).mat
             self._bond_cache[key] = self.state.spectral.to_eigenbasis(mat)
         return self._bond_cache[key]
 
@@ -253,7 +267,7 @@ class TransportKernel:
         return out.real if out.ndim else float(out.real)
 
     def sigma_d(self, bond) -> float:
-        mat = paramagnetic_partner_obs(self.rep, self.box, bond, self.omega, self.theta).mat
+        mat = paramagnetic_partner_obs(self.rep, self.box, [bond], self.omega, self.theta).mat
         return float(self.state.expect(mat).real)
 
 
@@ -307,16 +321,10 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     """J_p and J_d along the driven evolution generated by H + W_t(eta * A_l)."""
     times = np.asarray(times, dtype=float)
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
-    unit = np.eye(box.dim, dtype=int)
     vol = len(box)
 
-    bonds_per_axis = []
-    para_ops = []
-    for k in range(box.dim):
-        bonds = [(shift(x, unit[k]), x) for x in box.sites
-                 if shift(x, unit[k]) in box.index]
-        bonds_per_axis.append(bonds)
-        para_ops.append(sum(current_obs(rep, box, b, omega, theta).mat for b in bonds))
+    bonds_per_axis = [axis_bonds(box, k) for k in range(box.dim)]
+    para_ops = [current_obs(rep, box, bonds, omega, theta).mat for bonds in bonds_per_axis]
 
     j_th = np.array([state.expect(op).real / vol for op in para_ops])
 
@@ -428,14 +436,12 @@ def green_kubo_residual(kernel: TransportKernel, times) -> dict:
     """
     box, rep, state = kernel.box, kernel.rep, kernel.state
     sd = state.spectral
-    unit = np.eye(box.dim, dtype=int)
     d = box.dim
     flucts = []
     for k in range(d):
-        xs = [x for x in box.sites if shift(x, unit[k]) in box.index]
-        fk = fluctuation(
-            lambda x, k=k: current_obs(rep, box, (shift(x, unit[k]), x),
-                                       kernel.omega, kernel.theta), xs, state)
+        # the translates of the unit-bond current are labelled by their bonds
+        fk = fluctuation(lambda b: current_obs(rep, box, [b], kernel.omega, kernel.theta),
+                         axis_bonds(box, k), state)
         flucts.append(sd.to_eigenbasis(fk))
     times = np.asarray(times, dtype=float)
     inc = np.zeros((len(times), d, d))

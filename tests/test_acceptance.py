@@ -269,12 +269,12 @@ def test_criterion_10_lieb_robinson():
         conv = f.convolution_constant(sys["box"])
         dsup = full_interaction_norm(sys["theta"], sys["ip"], f, sys["box"])
         x0, x1 = (-4,), (-3,)
-        b1 = current_obs(sys["rep"], sys["box"], (x1, x0), sys["omega"], sys["theta"])
+        b1 = current_obs(sys["rep"], sys["box"], [(x1, x0)], sys["omega"], sys["theta"])
         for dist in range(2, 7):
             y0, y1 = (-3 + dist,), (-2 + dist,)
             if y1 not in sys["box"].index:
                 continue
-            b2 = current_obs(sys["rep"], sys["box"], (y1, y0), sys["omega"],
+            b2 = current_obs(sys["rep"], sys["box"], [(y1, y0)], sys["omega"],
                              sys["theta"])
             for t in (0.5, 1.0, 2.0):
                 res = lieb_robinson_check(b1, (x0, x1), b2, (y0, y1), t,

@@ -18,7 +18,8 @@ from fermicond.lattice import Box, DisorderDistribution
 from fermicond.model import (InterparticleInteraction, bond_phase, build_hamiltonian,
                              build_hopping, build_w, flat_pulse, peierls_hopping,
                              potential_diagonal, rescale)
-from fermicond.transport import current_obs, diamagnetic_obs, paramagnetic_partner_obs
+from fermicond.transport import axis_bonds, current_obs, diamagnetic_obs, \
+    paramagnetic_partner_obs
 
 from conftest import nn_interaction
 
@@ -104,9 +105,9 @@ def test_bit_assembly_equals_dense_strings(case):
     for x, y in box.bonds:
         for bond in ((x, y), (y, x)):
             m = hop[box.index[bond[0]], box.index[bond[1]]] * dense(*bond)
-            assert np.array_equal(current_obs(rep, box, bond, omega, theta).mat,
+            assert np.array_equal(current_obs(rep, box, [bond], omega, theta).mat,
                                   1j * (m - m.conj().T))
-            assert np.array_equal(paramagnetic_partner_obs(rep, box, bond, omega, theta).mat,
+            assert np.array_equal(paramagnetic_partner_obs(rep, box, [bond], omega, theta).mat,
                                   m + m.conj().T)
             ph = np.exp(-1j * bond_phase(a, 0.37, *bond)) - 1.0
             md = ph * hop[box.index[bond[0]], box.index[bond[1]]] * dense(*bond)
@@ -120,6 +121,30 @@ def test_bit_assembly_equals_dense_strings(case):
         total = total + n_s
     assert np.array_equal(rep.total_number().mat, total)
     assert np.array_equal(rep.parity_operator().mat, dense_parity(rep))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_bond_sums_equal_single_bond_sums(case):
+    # distinct bonds have disjoint supports: the scattered sum holds exactly the
+    # entries of the single-bond matrices and of the string products
+    _, box, order, omega, theta, _, _ = case
+    rep = FockRep(order)
+    dense = functools.cache(lambda x, y: dense_bilinear(rep, x, y))
+    hop = build_hopping(box, omega, theta)
+    bond_sets = [axis_bonds(box, k) for k in range(box.dim)] + [list(box.bonds)]
+    for bonds in bond_sets:
+        assert bonds
+        zero = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for obs, oracle in ((current_obs, lambda m: 1j * (m - m.conj().T)),
+                            (paramagnetic_partner_obs, lambda m: m + m.conj().T)):
+            singles, strings = zero.copy(), zero.copy()
+            for bond in bonds:
+                singles += obs(rep, box, [bond], omega, theta).mat
+                strings += oracle(hop[box.index[bond[0]], box.index[bond[1]]] * dense(*bond))
+            summed = obs(rep, box, bonds, omega, theta)
+            assert summed.parity == "even"
+            assert np.array_equal(summed.mat, singles)
+            assert np.array_equal(summed.mat, strings)
 
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (3, 0, 4, 1, 2)])

@@ -371,8 +371,8 @@ def test_lieb_robinson_basics(rng):
     f = DecayFunction(1, "polynomial", epsilon=2.0)
     conv = f.convolution_constant(sys["box"])
     dsup = full_interaction_norm(0.0, InterparticleInteraction("none"), f, sys["box"])
-    b1 = current_obs(sys["rep"], sys["box"], ((-2,), (-3,)), sys["omega"], 0.0)
-    b2 = current_obs(sys["rep"], sys["box"], ((4,), (3,)), sys["omega"], 0.0)
+    b1 = current_obs(sys["rep"], sys["box"], [((-2,), (-3,))], sys["omega"], 0.0)
+    b2 = current_obs(sys["rep"], sys["box"], [((4,), (3,))], sys["omega"], 0.0)
     res0 = lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((3,), (4,)), 0.0,
                                sys["spectral"], f, conv, dsup)
     assert res0["lhs"] <= 1e-12 and res0["satisfied"]

@@ -1,0 +1,53 @@
+"""The traced benchmark (perfbench/tracer.py) wraps fermicond functions by
+name and counts their calls.  A renamed target, or a kernel that stops going
+through the bond observables, must fail here and not only in a traced run.
+The tracer module is parsed, not imported or installed.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+from fermicond import transport
+from fermicond.transport import TransportKernel
+
+from conftest import make_system
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_targets():
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    targets = _tracer_targets()
+    assert targets
+    for modname, attr, _ in targets:
+        module = importlib.import_module(modname)
+        owner_name, _, member = attr.rpartition(".")
+        if owner_name:  # the tracer patches the class's own attribute
+            assert member in vars(getattr(module, owner_name)), f"{modname}.{attr}"
+        else:
+            assert callable(getattr(module, member, None)), f"{modname}.{attr}"
+
+
+def test_kernel_builds_through_bond_observables(monkeypatch):
+    traced = {"current_obs", "paramagnetic_partner_obs"}
+    assert traced <= {attr for mod, attr, _ in _tracer_targets()
+                      if mod == "fermicond.transport"}
+    sys = make_system(4, "iid-uniform", seed=3, theta=0.5)
+    calls = dict.fromkeys(traced, 0)
+    for name in traced:
+        def counted(*args, _fn=getattr(transport, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(transport, name, counted)
+    kernel = TransportKernel(sys["rep"], sys["box"], sys["omega"], sys["theta"], sys["state"])
+    assert calls["current_obs"] > 0 and calls["paramagnetic_partner_obs"] > 0
+    assert len(kernel.atom_nu) == len(sys["kernel"].atom_nu)

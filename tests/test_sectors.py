@@ -65,7 +65,7 @@ def _system(label):
     h = build_hamiltonian(rep, box, omega, theta, lam, ip)
     bonds = [(shift(x, e), x) for e in np.eye(box.dim, dtype=int) for x in box.sites
              if shift(x, e) in box.index]
-    b1, b2 = (current_obs(rep, box, b, omega, theta) for b in (bonds[0], bonds[-1]))
+    b1, b2 = (current_obs(rep, box, [b], omega, theta) for b in (bonds[0], bonds[-1]))
     return {"box": box, "rep": rep, "omega": omega, "theta": theta, "h": h,
             "bonds": (bonds[0], bonds[-1]), "b1": b1, "b2": b2,
             "sd": SpectralData.from_hamiltonian(h)}

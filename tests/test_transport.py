@@ -29,7 +29,7 @@ def test_current_obs_two_site_brute_force():
     rep = FockRep.of_box(box)
     omega = DisorderDistribution("deterministic-zero", 0).sample(box)
     bond = ((0,), (1,))
-    cur = current_obs(rep, box, bond, omega, theta=1.7)
+    cur = current_obs(rep, box, [bond], omega, theta=1.7)
     a0, a1 = two_site_raw_ops()
     c = -1.0  # hopping entry with omega2 = 0, any theta
     m = c * a0.conj().T @ a1
@@ -41,20 +41,20 @@ def test_current_obs_two_site_brute_force():
 
 def test_current_obs_orientation_flip():
     sys = make_system(4, "iid-uniform", seed=1, theta=0.6)
-    fwd = current_obs(sys["rep"], sys["box"], ((0,), (1,)), sys["omega"], 0.6)
-    bwd = current_obs(sys["rep"], sys["box"], ((1,), (0,)), sys["omega"], 0.6)
+    fwd = current_obs(sys["rep"], sys["box"], [((0,), (1,))], sys["omega"], 0.6)
+    bwd = current_obs(sys["rep"], sys["box"], [((1,), (0,))], sys["omega"], 0.6)
     assert opnorm(fwd + bwd) <= 1e-13
 
 
 def test_current_obs_not_a_bond():
     sys = make_system(4, "iid-uniform", seed=1)
     with pytest.raises(NotABondError):
-        current_obs(sys["rep"], sys["box"], ((-1,), (1,)), sys["omega"], 0.0)
+        current_obs(sys["rep"], sys["box"], [((-1,), (1,))], sys["omega"], 0.0)
 
 
 def test_time_reversal_flips_current_real_hopping():
     sys = make_system(4, "iid-real-hopping", seed=2, theta=0.8)
-    cur = current_obs(sys["rep"], sys["box"], ((1,), (0,)), sys["omega"], 0.8)
+    cur = current_obs(sys["rep"], sys["box"], [((1,), (0,))], sys["omega"], 0.8)
     assert opnorm(time_reversal(sys["rep"], cur) + cur) <= 1e-13
 
 
@@ -79,7 +79,7 @@ def test_diamagnetic_obs_small_field_expansion():
     arg = bond_phase(a, t, bond[0], bond[1])
     assert 0 < abs(arg) < 1e-3
     dia = diamagnetic_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.5, a, t)
-    p = paramagnetic_partner_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.5)
+    p = paramagnetic_partner_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.5)
     assert opnorm(dia - arg * p) <= 2.0 * arg ** 2 * opnorm(p)
 
 
@@ -99,7 +99,7 @@ def test_sigma_p_closed_form_vs_quadrature():
     bond = ((0,), (1,))
     t = 1.3
     closed = k.sigma_p(bond, bond, t)
-    cur = current_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.0)
+    cur = current_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0)
     n = 600
     ss = np.linspace(0.0, t, n + 1)
     vals = []
@@ -236,7 +236,7 @@ def test_thermal_current_is_the_bond_sum():
     box, rep, omega, state = sysa["box"], sysa["rep"], sysa["omega"], sysb["state"]
     kernel = TransportKernel(rep, box, omega, 0.9, state)
     unit = np.eye(2, dtype=int)
-    want = np.array([sum(state.expect(current_obs(rep, box, (shift(x, e), x), omega, 0.9)).real
+    want = np.array([sum(state.expect(current_obs(rep, box, [(shift(x, e), x)], omega, 0.9)).real
                          for x in box.sites if shift(x, e) in box.index) / len(box)
                      for e in unit])
     assert np.abs(want).max() > 1e-3
@@ -248,14 +248,14 @@ def test_bond_currents_nonzero_with_flux():
     sysc = make_system(shape=(2, 3), d=2, kind="iid-uniform", seed=8, theta=0.9)
     box, rep, st = sysc["box"], sysc["rep"], sysc["state"]
     bond = box.bonds[0]
-    cur = current_obs(rep, box, (bond[1], bond[0]), sysc["omega"], 0.9)
+    cur = current_obs(rep, box, [(bond[1], bond[0])], sysc["omega"], 0.9)
     val = st.expect(cur.mat).real
     assert abs(val) > 1e-6
     # conjugation pairing: the current flips sign exactly under omega -> omega-bar
     omc = sysc["omega"].conjugate()
     h = build_hamiltonian(rep, box, omc, 0.9, 0.0, InterparticleInteraction("none"))
     st2 = GibbsState.of(SpectralData.from_hamiltonian(h), 1.0)
-    cur2 = current_obs(rep, box, (bond[1], bond[0]), omc, 0.9)
+    cur2 = current_obs(rep, box, [(bond[1], bond[0])], omc, 0.9)
     assert abs(val + st2.expect(cur2.mat).real) <= 1e-12
 
 
