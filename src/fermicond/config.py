@@ -183,8 +183,14 @@ class ExperimentConfig:
             e.append("field.t1: must exceed field.t0")
         if len(f.w) != m.d:
             e.append(f"field.w: needs {m.d} components, got {len(f.w)}")
+        elif not (np.all(np.isfinite(f.w)) and np.any(f.w)):
+            e.append("field.w: must be finite and not all zero")
         if not f.etas:
             e.append("field.etas: must be non-empty")
+        elif not all(eta > 0 for eta in f.etas):
+            e.append("field.etas: must all be > 0")
+        if not f.halfwidth > 0:
+            e.append("field.halfwidth: must be > 0")
         if f.scale <= 0:
             e.append("field.scale: must be > 0")
         if dis.kind not in DISORDER_KINDS:

@@ -27,7 +27,7 @@ import numpy as np
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, evolve
 from .fock import FockRep
 from .lattice import Box
-from .model import (InterparticleInteraction, VectorPotential, bond_phase,
+from .model import (FlatPulse, InterparticleInteraction, bond_phase,
                     build_hamiltonian, build_w, check_field_margin, integrated_field,
                     rescale)
 from .transport import TransportKernel, ohm_linear, paramagnetic_partner_obs, \
@@ -58,7 +58,7 @@ class EnergyTrace:
 
 def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
                       ip: InterparticleInteraction, state: GibbsState,
-                      a_base: VectorPotential, eta: float, l: float, times,
+                      a_base: FlatPulse, eta: float, l: float, times,
                       dt: float, warn_margin: bool = True) -> EnergyTrace:
     """Drive with H + W_t(eta A_l) and record the four increments on the grid."""
     times = np.asarray(times, dtype=float)
@@ -124,7 +124,7 @@ def _double_time_integral(s_grid: np.ndarray, x: np.ndarray, t: float) -> float:
     return float(w_out @ inner)
 
 
-def joule_integrand_x(kernel: TransportKernel, a_base: VectorPotential, l: float,
+def joule_integrand_x(kernel: TransportKernel, a_base: FlatPulse, l: float,
                       s_grid) -> JouleIntegrand:
     """Sample X_l(s1, s2) over the grid using the spectral pair representation.
 
@@ -149,7 +149,7 @@ def joule_integrand_x(kernel: TransportKernel, a_base: VectorPotential, l: float
     return JouleIntegrand(s_grid, x_l / l ** d, l)
 
 
-def x_infinity(xi_fn: Callable[[np.ndarray], np.ndarray], a_base: VectorPotential,
+def x_infinity(xi_fn: Callable[[np.ndarray], np.ndarray], a_base: FlatPulse,
                s_grid, n_space: int = 64) -> np.ndarray:
     """X_inf(s1, s2) = sum_{k,q} Xi_{kq}(s1 - s2) * int E_k(s1, x) E_q(s2, x) dx.
 
@@ -189,7 +189,7 @@ def x_infinity(xi_fn: Callable[[np.ndarray], np.ndarray], a_base: VectorPotentia
     return out
 
 
-def flat_pulse_x_infinity(xi_fn, a_base: VectorPotential, w, s_grid) -> np.ndarray:
+def flat_pulse_x_infinity(xi_fn, a_base: FlatPulse, w, s_grid) -> np.ndarray:
     """Exact X_inf for the spatially flat pulse: chi = indicator of the support,
     so int E_k E_q dx = (2 hw)^d eps(s1) eps(s2) w_k w_q."""
     s_grid = np.asarray(s_grid, dtype=float)
@@ -223,7 +223,7 @@ def paramagnetic_density_check(x_int: JouleIntegrand, t: float,
             "difference": abs(via_x - joule_form)}
 
 
-def joule_form_ip(kernel: TransportKernel, a_base: VectorPotential, w, times) -> np.ndarray:
+def joule_form_ip(kernel: TransportKernel, a_base: FlatPulse, w, times) -> np.ndarray:
     """int dx int_{t0}^t ds <E(s,x), J_p(s,x)> for the flat pulse, on the grid.
 
     J_p(s, x) = int_{t0}^s Xi_p(s-r) E(r, x) dr collapses to the volume factor
@@ -242,7 +242,7 @@ def joule_form_ip(kernel: TransportKernel, a_base: VectorPotential, w, times) ->
     return vol * out
 
 
-def diamagnetic_density(kernel: TransportKernel, a_base: VectorPotential, w, times) -> np.ndarray:
+def diamagnetic_density(kernel: TransportKernel, a_base: FlatPulse, w, times) -> np.ndarray:
     """i_d(t) = -<w, Xi_d w> * volume * (1/2) (int_{t0}^t eps)^2 for the flat pulse.
 
     The sign is fixed by the finite-volume limit lim Id/(eta^2 l^d): the
@@ -259,14 +259,12 @@ def diamagnetic_density(kernel: TransportKernel, a_base: VectorPotential, w, tim
     return -vol * float(w @ kernel.xi_d() @ w) * 0.5 * cum ** 2
 
 
-def _bond_field_weights(kernel: TransportKernel, a_l: VectorPotential, s_grid):
+def _bond_field_weights(kernel: TransportKernel, a_l: FlatPulse, s_grid):
     """Canonical bonds, their integrated field per grid time, and the
     field-weighted current sum_b E_s(b) I_b in the eigenbasis per grid time."""
     bonds = list(kernel.box.bonds)
     ew = np.zeros((len(s_grid), len(bonds)))
     for it, s in enumerate(s_grid):
-        if a_l.is_off(s):
-            continue
         for ib, b in enumerate(bonds):
             ew[it, ib] = integrated_field(a_l, s, b)
     cur = [kernel.bond_current_eig(b) for b in bonds]
@@ -278,7 +276,7 @@ def _bond_field_weights(kernel: TransportKernel, a_l: VectorPotential, s_grid):
     return bonds, ew, k_eig
 
 
-def correction_term(kernel: TransportKernel, a_base: VectorPotential, l: float,
+def correction_term(kernel: TransportKernel, a_base: FlatPulse, l: float,
                     times) -> np.ndarray:
     """Finite-volume correction of Joule's-law items (Q)/(P):
 
@@ -307,7 +305,7 @@ def correction_term(kernel: TransportKernel, a_base: VectorPotential, l: float,
     return out / l ** kernel.box.dim
 
 
-def diamagnetic_density_exact(kernel: TransportKernel, a_base: VectorPotential,
+def diamagnetic_density_exact(kernel: TransportKernel, a_base: FlatPulse,
                               l: float, times) -> np.ndarray:
     """Exact eta^2-coefficient of Id/(eta^2 l^d):
     -(1/2) l^-d sum_b phase_b(t)^2 rho(P_b)."""
@@ -328,7 +326,7 @@ def diamagnetic_density_exact(kernel: TransportKernel, a_base: VectorPotential,
 
 
 def heat_production_identity(trace: EnergyTrace, kernel: TransportKernel,
-                             a_base: VectorPotential, l: float, times) -> dict:
+                             a_base: FlatPulse, l: float, times) -> dict:
     """Residuals of the (Q) and (P) items of the macroscopic Joule's law at
     finite volume: s(t) = i_p(t) - corr(t), p(t) = i_d(t) + corr(t), with all
     three pieces evaluated as exact finite-volume eta^2-coefficients so the

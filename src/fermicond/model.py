@@ -10,18 +10,13 @@ the interparticle terms, and W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fock import FockRep, OperatorMatrix
 from .lattice import Box, DisorderSample, Site
-
-
-class QuadratureError(Exception):
-    """Adaptive line-integral quadrature failed to reach tolerance."""
 
 
 class RangeExceedsBoxError(Exception):
@@ -197,143 +192,135 @@ def full_interaction_norm(theta0: float, ip: InterparticleInteraction,
 # vector potentials and electric fields
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VectorPotential:
-    """Compactly supported A(t, x) in the Weyl gauge (E = -dA/dt).
+@dataclass(frozen=True, eq=False)
+class FlatPulse:
+    """Compactly supported A(t, x) in the Weyl gauge (E = -dA/dt):
 
-    evaluator(t, x) returns the covector A(t, x) as an ndarray of length d;
-    analytic_e, when provided, is the exact -dA/dt used by high-precision
-    paths (the finite-difference route stays available as an oracle).
+        A(t, x) = eta * env(t) * w   if |x_k / scale| <= halfwidth (+1e-12) for all k,
+
+    and 0 off that plateau or outside (t0, t1).  The envelope is "sin2",
+    sin^2(pi (t - t0)/(t1 - t0)), or "gauss", a Gaussian centred in the pulse
+    with width (t1 - t0)/8, shifted to vanish at t0 and t1.  Both vanish at
+    the pulse ends, which is the AC-condition.
     """
 
     dim: int
-    evaluator: Callable[[float, np.ndarray], np.ndarray]
-    t0: float
-    t1: float
-    spatial_halfwidth: float
-    analytic_e: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-5
+    w: np.ndarray
+    t0: float = 0.0
+    t1: float = 1.0
+    halfwidth: float = 1.0
+    envelope: str = "sin2"
+    scale: float = 1.0
+    eta: float = 1.0
 
-    def __call__(self, t: float, x) -> np.ndarray:
-        if t <= self.t0 or t >= self.t1:
-            return np.zeros(self.dim)
-        return np.asarray(self.evaluator(t, np.asarray(x, dtype=float)), dtype=float)
+    def __post_init__(self):
+        w = np.array(self.w, dtype=float)
+        if w.shape != (self.dim,):
+            raise ValueError(f"direction must have shape ({self.dim},)")
+        if self.envelope not in ("sin2", "gauss"):
+            raise ValueError(f"unknown envelope {self.envelope!r}")
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
-    def electric_fd(self, t: float, x, h: Optional[float] = None) -> np.ndarray:
-        h = self.fd_step if h is None else h
-        return -(self(t + h, x) - self(t - h, x)) / (2 * h)
-
-    def electric(self, t: float, x) -> np.ndarray:
-        if self.analytic_e is not None:
-            if t <= self.t0 or t >= self.t1:
-                return np.zeros(self.dim)
-            return np.asarray(self.analytic_e(t, np.asarray(x, dtype=float)), dtype=float)
-        return self.electric_fd(t, x)
+    @property
+    def spatial_halfwidth(self) -> float:
+        return self.halfwidth * self.scale
 
     def is_off(self, t: float) -> bool:
         return t <= self.t0 or t >= self.t1
 
+    def env(self, t: float) -> float:
+        if self.is_off(t):
+            return 0.0
+        if self.envelope == "sin2":
+            return np.sin(np.pi * (t - self.t0) / (self.t1 - self.t0)) ** 2
+        tc, tau = 0.5 * (self.t0 + self.t1), (self.t1 - self.t0) / 8.0
+        return float(np.exp(-((t - tc) / tau) ** 2) - np.exp(-16.0))
 
-def _line_integral(fx: Callable[[float], float], tol: float = 1e-10) -> float:
-    val, err = quad(fx, 0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=200)
-    if err > 10 * tol + 1e-13 * abs(val):
-        raise QuadratureError(f"line integral error estimate {err} above tolerance")
-    return val
+    def denv(self, t: float) -> float:
+        """d env / dt."""
+        if self.is_off(t):
+            return 0.0
+        if self.envelope == "sin2":
+            om = np.pi / (self.t1 - self.t0)
+            return om * np.sin(2 * om * (t - self.t0))
+        tc, tau = 0.5 * (self.t0 + self.t1), (self.t1 - self.t0) / 8.0
+        return float(-2 * (t - tc) / tau ** 2 * np.exp(-((t - tc) / tau) ** 2))
+
+    def _inside(self, x) -> bool:
+        return bool(np.all(np.abs(np.asarray(x, dtype=float) / self.scale)
+                           <= self.halfwidth + 1e-12))
+
+    def __call__(self, t: float, x) -> np.ndarray:
+        if self.is_off(t) or not self._inside(x):
+            return np.zeros(self.dim)
+        return self.eta * (self.env(t) * self.w)
+
+    def electric(self, t: float, x) -> np.ndarray:
+        if self.is_off(t) or not self._inside(x):
+            return np.zeros(self.dim)
+        return self.eta * (-self.denv(t) * self.w)
+
+    def _plateau_fraction(self, x, y) -> float:
+        """Fraction of the segment [x, y] inside the closed plateau.
+
+        A coordinate that stays fixed along the segment obeys the pointwise
+        rule (a bond in the plateau's boundary face is inside); along a moving
+        coordinate the overlap is exact, so a segment that only touches the
+        plateau at an endpoint gets exactly 0.  Both orientations are measured
+        from the same endpoint, so the fraction is exactly symmetric.
+        """
+        x, y = (np.asarray(p, dtype=float) for p in sorted((tuple(x), tuple(y))))
+        dx = y - x
+        edge = self.halfwidth * self.scale
+        lo, hi = 0.0, 1.0
+        for xk, dk in zip(x, dx):
+            if dk == 0.0:
+                if abs(xk / self.scale) > self.halfwidth + 1e-12:
+                    return 0.0
+            else:
+                a, b = sorted(((-edge - xk) / dk, (edge - xk) / dk))
+                lo, hi = max(lo, a), min(hi, b)
+        return max(hi - lo, 0.0)
 
 
-def integrated_field(a: VectorPotential, t: float, bond) -> float:
-    """E_t^A(x) = int_0^1 [E(t, alpha x2 + (1-alpha) x1)](x2 - x1) dalpha."""
-    x1 = np.asarray(bond[0], dtype=float)
-    x2 = np.asarray(bond[1], dtype=float)
-    dx = x2 - x1
-    return _line_integral(lambda al: float(np.dot(a.electric(t, al * x2 + (1 - al) * x1), dx)))
+def integrated_field(a: FlatPulse, t: float, bond) -> float:
+    """E_t^A(x) = int_0^1 [E(t, alpha x2 + (1-alpha) x1)](x2 - x1) dalpha.
 
-
-def bond_phase(a: VectorPotential, t: float, x: Site, y: Site) -> float:
-    """int_0^1 [A(t, alpha y + (1-alpha) x)](y - x) dalpha (Peierls argument)."""
+    E is constant on the plateau, so this is -eta env'(t) (w . dx) times the
+    fraction of the bond on the plateau."""
     if a.is_off(t):
         return 0.0
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    dx = yv - xv
-    return _line_integral(lambda al: float(np.dot(a(t, al * yv + (1 - al) * xv), dx)))
+    dx = np.asarray(bond[1], dtype=float) - np.asarray(bond[0], dtype=float)
+    e = float(np.dot(a.eta * (-a.denv(t) * a.w), dx))
+    return e * a._plateau_fraction(bond[0], bond[1])
 
 
-def _sin2_envelope(t, t0, t1):
-    if t <= t0 or t >= t1:
+def bond_phase(a: FlatPulse, t: float, x: Site, y: Site) -> float:
+    """int_0^1 [A(t, alpha y + (1-alpha) x)](y - x) dalpha (Peierls argument),
+    eta env(t) (w . (y - x)) times the fraction of the bond on the plateau."""
+    if a.is_off(t):
         return 0.0
-    return np.sin(np.pi * (t - t0) / (t1 - t0)) ** 2
-
-
-def _sin2_envelope_dt(t, t0, t1):
-    if t <= t0 or t >= t1:
-        return 0.0
-    w = np.pi / (t1 - t0)
-    return w * np.sin(2 * w * (t - t0))
+    dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    phi = float(np.dot(a.eta * (a.env(t) * a.w), dx))
+    return phi * a._plateau_fraction(x, y)
 
 
 def flat_pulse(dim: int, w, t0: float = 0.0, t1: float = 1.0,
-               halfwidth: float = 1.0, envelope: str = "sin2") -> VectorPotential:
-    """Space-homogeneous pulse: A(t,x) = env(t) * w inside [-hw, hw]^d, 0 outside.
-
-    The electric field is E(t,x) = -env'(t) * w on the plateau, satisfying the
-    AC-condition because env(t0) = env(t1) = 0.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (dim,):
-        raise ValueError(f"direction must have shape ({dim},)")
-
-    if envelope == "sin2":
-        def env(t, t0=t0, t1=t1):
-            return _sin2_envelope(t, t0, t1)
-
-        def denv(t, t0=t0, t1=t1):
-            return _sin2_envelope_dt(t, t0, t1)
-    elif envelope == "gauss":
-        tc, tau = 0.5 * (t0 + t1), (t1 - t0) / 8.0
-
-        def env(t, t0=t0, t1=t1, tc=tc, tau=tau):
-            if t <= t0 or t >= t1:
-                return 0.0
-            return float(np.exp(-((t - tc) / tau) ** 2) - np.exp(-16.0))
-
-        def denv(t, t0=t0, t1=t1, tc=tc, tau=tau):
-            if t <= t0 or t >= t1:
-                return 0.0
-            return float(-2 * (t - tc) / tau ** 2 * np.exp(-((t - tc) / tau) ** 2))
-    else:
-        raise ValueError(f"unknown envelope {envelope!r}")
-
-    def inside(x):
-        return np.all(np.abs(x) <= halfwidth + 1e-12)
-
-    def evaluator(t, x):
-        return env(t) * w if inside(x) else np.zeros(dim)
-
-    def analytic_e(t, x):
-        return -denv(t) * w if inside(x) else np.zeros(dim)
-
-    return VectorPotential(dim, evaluator, t0, t1, halfwidth, analytic_e)
+               halfwidth: float = 1.0, envelope: str = "sin2") -> FlatPulse:
+    """Space-homogeneous pulse: A(t,x) = env(t) * w inside [-hw, hw]^d, 0 outside,
+    so E(t,x) = -env'(t) * w on the plateau (scale 1, strength 1)."""
+    return FlatPulse(dim, w, t0, t1, halfwidth, envelope)
 
 
-def rescale(a: VectorPotential, l: float, eta: float) -> VectorPotential:
+def rescale(a: FlatPulse, l: float, eta: float) -> FlatPulse:
     """A_l(t, x) = eta * A(t, x / l): spatial dilation plus strength scaling."""
     if l <= 0:
         raise ValueError("rescale needs l > 0")
-
-    def evaluator(t, x, a=a, l=l, eta=eta):
-        return eta * a(t, np.asarray(x, dtype=float) / l)
-
-    analytic = None
-    if a.analytic_e is not None:
-        def analytic(t, x, a=a, l=l, eta=eta):
-            return eta * a.analytic_e(t, np.asarray(x, dtype=float) / l)
-
-    return VectorPotential(a.dim, evaluator, a.t0, a.t1,
-                           a.spatial_halfwidth * l, analytic, a.fd_step)
+    return replace(a, scale=a.scale * l, eta=a.eta * eta)
 
 
-def check_field_margin(a: VectorPotential, box: Box, ip: InterparticleInteraction) -> None:
+def check_field_margin(a: FlatPulse, box: Box, ip: InterparticleInteraction) -> None:
     """Warn when the field support comes within (interaction range + 2) sites
     of the box boundary; finite-volume surrogates assume that margin."""
     l_box = max(abs(c) for s in box.sites for c in s)
@@ -373,7 +360,7 @@ def potential_diagonal(box: Box, omega: DisorderSample) -> np.ndarray:
     return np.array([omega.site(s) for s in box.sites], dtype=float)
 
 
-def peierls_hopping(hop: np.ndarray, box: Box, a: VectorPotential, t: float) -> np.ndarray:
+def peierls_hopping(hop: np.ndarray, box: Box, a: FlatPulse, t: float) -> np.ndarray:
     """Multiply each bond entry by exp(i * bond phase); diagonal unchanged.
 
     Phases along the two orientations are exact negatives, so hermiticity is
@@ -427,7 +414,7 @@ def build_hamiltonian(rep: FockRep, box: Box, omega: DisorderSample, theta: floa
 
 
 def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-            a: VectorPotential, t: float) -> OperatorMatrix:
+            a: FlatPulse, t: float) -> OperatorMatrix:
     """W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y; zero outside [t0, t1]."""
     if a.is_off(t):
         return rep.zero()
@@ -437,7 +424,7 @@ def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
 
 
 def w_time_derivative(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-                      a: VectorPotential, t: float, h: float = 1e-6) -> OperatorMatrix:
+                      a: FlatPulse, t: float, h: float = 1e-6) -> OperatorMatrix:
     """Central finite difference of t -> W_t on the drive grid."""
     wp = build_w(rep, box, omega, theta, a, t + h).mat
     wm = build_w(rep, box, omega, theta, a, t - h).mat

@@ -23,7 +23,7 @@ from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
     duhamel_pair_eig, evolve
 from .fock import FockRep, OperatorMatrix, bilinear
 from .lattice import Box, DisorderSample, Site, shift
-from .model import VectorPotential, bond_phase, build_hamiltonian, build_w, \
+from .model import FlatPulse, bond_phase, build_hamiltonian, build_w, \
     InterparticleInteraction
 
 
@@ -82,7 +82,7 @@ def paramagnetic_partner_obs(rep: FockRep, box: Box, bonds, omega: DisorderSampl
 
 
 def diamagnetic_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: float,
-                    a: VectorPotential, t: float) -> OperatorMatrix:
+                    a: FlatPulse, t: float) -> OperatorMatrix:
     """Field correction to the bond current: the Peierls factor appears with a
     conjugated phase, (e^{-i arg} - 1), so that the eta-derivative reproduces
     the diamagnetic Ohm coefficient."""
@@ -316,7 +316,7 @@ class CurrentDensityTrace:
 
 def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
-                    a_scaled: VectorPotential, eta: float, times,
+                    a_scaled: FlatPulse, eta: float, times,
                     dt: float) -> CurrentDensityTrace:
     """J_p and J_d along the driven evolution generated by H + W_t(eta * A_l)."""
     times = np.asarray(times, dtype=float)

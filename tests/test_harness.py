@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,18 @@ def test_config_field_level_errors(tmp_path):
         ExperimentConfig.load(p)
     msgs = "\n".join(err.value.errors)
     assert "model.beta" in msgs and "disorder.kind" in msgs and "run.dt" in msgs
+    # field input that would otherwise run: a nan Richardson check that passes
+    # its gate, an SVD crash, a field that never switches on
+    bad_fields = [("field.w", [0.0]), ("field.w", [float("nan")]),
+                  ("field.w", [float("inf")]), ("field.etas", [0.02, 0.0]),
+                  ("field.etas", [-0.04]), ("field.halfwidth", 0.0),
+                  ("field.halfwidth", -1.0)]
+    for i, (key, value) in enumerate(bad_fields):
+        p = write_config(tmp_path, {key: value}, name=f"field{i}.json")
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.load(p)
+        assert any(e.startswith(key) for e in err.value.errors), (key, value)
+        assert main(["run", "ohm", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_unknown_keys(tmp_path):
@@ -427,3 +443,22 @@ def test_green_kubo_sweeps_three_boxes(tmp_path, monkeypatch):
     assert manifest["files"] == []
     [failure] = manifest["gate_failures"]
     assert "chains of 3, 5 and 7 sites" in failure
+
+
+def test_driven_runs_import_no_scipy(tmp_path):
+    """scipy is a test dependency only: ohm and joule run on numpy alone."""
+    import fermicond
+    p = write_config(tmp_path)
+    script = (
+        "import sys\n"
+        "from fermicond.cli import main\n"
+        "for exp in ('ohm', 'joule'):\n"
+        f"    code = main(['run', exp, '--config', {str(p)!r}, '--out', {str(tmp_path)!r} + '/' + exp])\n"
+        "    assert code == 0, (exp, code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, FERMICOND_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=str(Path(fermicond.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

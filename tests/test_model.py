@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from fermicond.fock import FockRep, opnorm
 from fermicond.lattice import Box, DisorderDistribution, DisorderSample, LatticeSpec
 from fermicond.model import (BoundaryProximityWarning, DecayFunction,
-                             InterparticleInteraction, VectorPotential,
+                             InterparticleInteraction,
                              bond_phase, build_hamiltonian, build_hopping, build_w,
                              check_field_margin, decay_checks,
                              flat_pulse, full_interaction_norm, integrated_field,
@@ -65,7 +66,7 @@ def test_peierls_zero_field_identity():
     h = build_hopping(box, clean(box), 0.0)
     a = flat_pulse(1, [1.0], 0.0, 1.0)
     assert np.array_equal(peierls_hopping(h, box, a, 2.0), h)  # field off
-    zero = VectorPotential(1, lambda t, x: np.zeros(1), 0.0, 1.0, 1.0)
+    zero = rescale(a, 1.0, 0.0)
     assert np.allclose(peierls_hopping(h, box, zero, 0.5), h)
 
 
@@ -73,7 +74,8 @@ def test_peierls_constant_potential_phase():
     box = Box.chain(3)
     h = build_hopping(box, clean(box), 0.0)
     aval = 0.37
-    a = VectorPotential(1, lambda t, x: np.array([aval]), 0.0, 1.0, 10.0)
+    a = flat_pulse(1, [aval], 0.0, 1.0, halfwidth=10.0)
+    assert a(0.5, [0.0])[0] == aval  # env(0.5) = 1 exactly
     hp = peierls_hopping(h, box, a, 0.5)
     i, j = box.index[(0,)], box.index[(1,)]
     # hop x -> x+1 multiplied by e^{i a}
@@ -84,14 +86,15 @@ def test_peierls_constant_potential_phase():
 
 
 def test_peierls_gauge_invariance():
-    # A = grad(phi) is unitarily equivalent to A = 0 via diag(e^{i phi})
+    # A = grad(phi) is unitarily equivalent to A = 0 via diag(e^{i phi});
+    # the bonds (-2, -1) and (1, 2) straddle the plateau edge at +-1.5
     box = Box.chain(5)
     h = build_hopping(box, clean(box), 0.0)
 
     def phi(x):
-        return 0.3 * x ** 2 - 0.1 * x
+        return 0.6 * np.clip(x, -1.5, 1.5)
 
-    a = VectorPotential(1, lambda t, x: np.array([0.6 * x[0] - 0.1]), 0.0, 1.0, 10.0)
+    a = flat_pulse(1, [0.6], 0.0, 1.0, halfwidth=1.5)
     hp = peierls_hopping(h, box, a, 0.5)
     d = np.diag([np.exp(-1j * phi(x[0])) for x in box.sites])
     oracle = d @ h @ d.conj().T
@@ -101,7 +104,7 @@ def test_peierls_gauge_invariance():
 def test_electric_field_analytic_vs_fd():
     a = flat_pulse(1, [1.0], 0.0, 2.0)
     for t in (0.3, 0.9, 1.4):
-        fd = a.electric_fd(t, [0.0])
+        fd = -(a(t + 1e-5, [0.0]) - a(t - 1e-5, [0.0])) / 2e-5
         an = a.electric(t, [0.0])
         assert abs(fd[0] - an[0]) <= 1e-8
     assert np.all(a.electric(5.0, [0.0]) == 0.0)
@@ -109,7 +112,6 @@ def test_electric_field_analytic_vs_fd():
 
 def test_ac_condition():
     # integral of E over the full pulse vanishes (compact time support)
-    from scipy.integrate import quad
     a = flat_pulse(1, [1.0], 0.0, 1.5)
     val, _ = quad(lambda s: a.electric(s, np.zeros(1))[0], 0.0, 1.5, limit=200)
     assert abs(val) <= 1e-10
@@ -144,6 +146,67 @@ def test_rescale():
 def test_bond_phase_antisymmetry():
     a = flat_pulse(1, [1.0], 0.0, 1.0)
     assert abs(bond_phase(a, 0.3, (0,), (1,)) + bond_phase(a, 0.3, (1,), (0,))) <= 1e-12
+
+
+def _quad_along_bond(fx):
+    """Adaptive quadrature of fx over the bond parameter alpha in [0, 1]."""
+    val, err = quad(fx, 0.0, 1.0, epsabs=1e-10, epsrel=1e-12, limit=200)
+    assert err <= 1e-9 + 1e-13 * abs(val)
+    return val
+
+
+def _bond_kind(a, x, y):
+    """inside / touching / straddling / outside, from the pointwise plateau rule."""
+    def inside(p):
+        return np.all(np.abs(np.asarray(p, dtype=float) / a.scale) <= a.halfwidth + 1e-12)
+
+    if inside(x) and inside(y):
+        return "inside"
+    if not (inside(x) or inside(y)):
+        return "outside"
+    p = x if inside(x) else y
+    k = int(np.flatnonzero(np.subtract(y, x))[0])
+    on_edge = abs(abs(p[k] / a.scale) - a.halfwidth) <= 1e-12
+    return "touching" if on_edge else "straddling"
+
+
+@pytest.mark.parametrize("envelope", ["sin2", "gauss"])
+@pytest.mark.parametrize("l", [1.0, 1.3, 1.5, 2.0, 8.0])
+@pytest.mark.parametrize("box,halfwidth,w,edge_kind", [
+    (Box.chain(8), 1.0, [1.0], {1.0: "touching", 1.3: "straddling", 1.5: "straddling",
+                                 2.0: "touching"}),
+    (Box.rect([2, 3]), 0.5, [1.0, -0.4], {1.0: "straddling", 1.3: "straddling",
+                                          1.5: "straddling"}),
+    (Box.rect([2, 3]), 1.0, [1.0, 0.0], {}),  # bonds in the plateau's boundary faces
+    # a plateau edge near the origin, where 1 - (1 - f) != f in floating point
+    (Box.chain(8), 0.1, [1.0], dict.fromkeys([1.0, 1.3, 1.5, 2.0, 8.0], "straddling")),
+], ids=["chain8", "box2x3", "box2x3-face", "chain8-narrow"])
+def test_closed_form_phase_and_field_vs_quadrature(box, halfwidth, w, edge_kind, l,
+                                                   envelope):
+    a = rescale(flat_pulse(box.dim, w, 0.0, 1.0, halfwidth=halfwidth, envelope=envelope),
+                l, 0.3)
+    kinds = set()
+    for t in (-0.2, 0.0, 0.13, 0.5, 0.77, 1.0, 1.3):
+        for bond in box.bonds:
+            for x, y in (bond, bond[::-1]):
+                xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+                phase, efield = bond_phase(a, t, x, y), integrated_field(a, t, (x, y))
+                assert phase == -bond_phase(a, t, y, x)
+                assert efield == -integrated_field(a, t, (y, x))
+                ref_phase = _quad_along_bond(
+                    lambda al: float(np.dot(a(t, al * yv + (1 - al) * xv), yv - xv)))
+                ref_efield = _quad_along_bond(
+                    lambda al: float(np.dot(a.electric(t, al * yv + (1 - al) * xv), yv - xv)))
+                kind = _bond_kind(a, x, y)
+                kinds.add(kind)
+                for got, ref in ((phase, ref_phase), (efield, ref_efield)):
+                    if kind == "inside":
+                        assert abs(got - ref) <= 4 * np.spacing(abs(ref))
+                    elif kind == "straddling":
+                        assert abs(got - ref) <= 1e-10
+                    else:
+                        assert got == 0.0 and ref == 0.0
+    assert kinds - {"inside", "outside"} == ({edge_kind[l]} if l in edge_kind else set())
 
 
 def test_field_margin_warning():
@@ -218,7 +281,7 @@ def test_build_w_zero_cases():
     rep = FockRep.of_box(box)
     s = clean(box)
     a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
-    zero = VectorPotential(1, lambda t, x: np.zeros(1), 0.0, 1.0, 4.0)
+    zero = rescale(a, 1.0, 0.0)
     assert opnorm(build_w(rep, box, s, 0.0, zero, 0.5)) <= 1e-12
     assert np.all(build_w(rep, box, s, 0.0, a, 1.5).mat == 0.0)  # after t1
     w = build_w(rep, box, s, 0.0, a, 0.5)
