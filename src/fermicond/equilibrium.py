@@ -338,6 +338,14 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _uniform_step(times: np.ndarray, who: str) -> float:
+    """The step of a uniform grid; the Simpson weights above assume one."""
+    h = times[1] - times[0]
+    if not np.allclose(np.diff(times), h):
+        raise ValueError(f"{who} expects a uniform time grid")
+    return h
+
+
 def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral on a uniform grid (Simpson on even prefixes,
     trapezoid patch on odd ones); vals may carry trailing axes."""

@@ -212,8 +212,7 @@ def run_joule(cfg: ExperimentConfig, outdir: Path):
         if abs(slope - 2.0) > 0.04 * 2.0:
             failures.append(f"S eta-scaling exponent {slope:.3f} not 2 within 2%")
     # X integrand vs Ip
-    s_grid = np.linspace(f.t0, f.t1 + 0.5, 41)
-    xint = joule_integrand_x(sys0.kernel, a_base, f.scale, s_grid)
+    xint = joule_integrand_x(sys0.kernel, a_base, f.scale, times)
     ip_norm = traces[etas[0]].Ip[-1] / traces[etas[0]].normalization()
     xx = xint.double_integral(times[-1])
     files.append(write_csv(outdir / "joule_report.csv", ["quantity", "value"],

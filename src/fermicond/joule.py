@@ -14,7 +14,14 @@ is eta^2 l^d int int X_l with
     X_l(s1, s2) = l^-d sum_{b, b'} sigma_p(b, b', s1 - s2) E_{s1}(b) E_{s2}(b')
 
 summed over unordered bond pairs (canonical orientation; every factor pair is
-orientation-invariant), and densities are normalized by eta^2 l^d.
+orientation-invariant), and densities are normalized by eta^2 l^d.  The flat
+pulse's bond field factorises, E_s(b) = eps(s) w_b, so with the one
+field-weighted current K = sum_b w_b I_b
+
+    X_l(s1, s2) = l^-d eps(s1) eps(s2) F(s1 - s2),
+
+where the lag kernel F is sigma_p paired with K on both sides.  On a uniform
+grid F is needed only at the lags s_j - s_0.
 """
 
 from __future__ import annotations
@@ -24,14 +31,13 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, evolve
+from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
+    _uniform_step, evolve
 from .fock import FockRep
 from .lattice import Box
-from .model import (FlatPulse, InterparticleInteraction, bond_phase,
-                    build_hamiltonian, build_w, check_field_margin, integrated_field,
-                    rescale)
-from .transport import TransportKernel, ohm_linear, paramagnetic_partner_obs, \
-    pulse_efield_and_integral
+from .model import (FlatPulse, InterparticleInteraction, build_hamiltonian, build_w,
+                    check_field_margin, rescale)
+from .transport import TransportKernel, ohm_linear, pulse_efield_and_integral
 
 
 @dataclass
@@ -124,29 +130,43 @@ def _double_time_integral(s_grid: np.ndarray, x: np.ndarray, t: float) -> float:
     return float(w_out @ inner)
 
 
+def _lag_kernel(kernel: TransportKernel, a_base: FlatPulse, l: float, grid, who: str):
+    """(h, eps, F) on a uniform grid for the rescaled pulse A_l (unit strength).
+
+    eps(s) = -eta env'(s), so the bond field is E_s(b) = eps(s) w_b with
+    w_b = bond_weight(b).  With K = sum_b w_b I_b in the eigenbasis (bonds off
+    the plateau skipped), F(tau_j) = sum_{mn} Re(K_nm K_mn) g_mn
+    (cos(tau_j nu_mn) - 1) over the non-degenerate pairs at tau_j = s_j - s_0,
+    one lag at a time; the sine part cancels since K is Hermitian and g
+    symmetric.
+    """
+    h = _uniform_step(grid, who)
+    a_l = rescale(a_base, l, 1.0)
+    k = np.zeros((kernel.rep.dim, kernel.rep.dim), dtype=complex)
+    for b in kernel.box.bonds:
+        if wb := a_l.bond_weight(*b):
+            k += wb * kernel.bond_current_eig(b)
+    reg = ~kernel._tiny
+    c = (k.T * k).real[reg] * kernel.pair_weight[reg]
+    nu = kernel.bohr[reg]
+    f = np.array([c @ (np.cos(tau * nu) - 1.0) for tau in grid - grid[0]])
+    return h, np.array([-a_l.eta * a_l.denv(s) for s in grid]), f
+
+
+def _separable(eps: np.ndarray, lag_series: np.ndarray) -> np.ndarray:
+    """[i1, i2] -> eps_i1 eps_i2 F(|i1 - i2| h) on a uniform grid."""
+    i = np.arange(len(eps))
+    return np.outer(eps, eps) * lag_series[np.abs(np.subtract.outer(i, i))]
+
+
 def joule_integrand_x(kernel: TransportKernel, a_base: FlatPulse, l: float,
                       s_grid) -> JouleIntegrand:
-    """Sample X_l(s1, s2) over the grid using the spectral pair representation.
-
-    The sum runs over the box's unordered bonds weighted by the integrated
-    electric field of the rescaled potential A_l (unit strength; the eta
-    scaling is external).
-    """
+    """Sample X_l(s1, s2) over a uniform grid from the lag kernel of the
+    field-weighted current of the rescaled potential A_l (unit strength; the
+    eta scaling is external)."""
     s_grid = np.asarray(s_grid, dtype=float)
-    d = kernel.box.dim
-    _, _, k_eig = _bond_field_weights(kernel, rescale(a_base, l, 1.0), s_grid)
-    g = kernel.pair_weight
-    reg = ~kernel._tiny
-    phase = np.exp(1j * np.multiply.outer(s_grid, kernel.bohr[reg]))  # (ns, n_reg)
-    k_reg = np.stack([k[reg] for k in k_eig])                         # (ns, n_reg)
-    a = np.stack([(k.T * g)[reg] for k in k_eig])  # source coefficients, s1 slot
-    # sum_r a[s1, r] k[s2, r] (e^{i (s1 - s2) nu_r} - 1) as two matrix products;
-    # the phases go on in place so no array outgrows (ns, n_reg)
-    x_l = -(a @ k_reg.T).real
-    a *= phase
-    k_reg *= np.conj(phase, out=phase)
-    x_l += (a @ k_reg.T).real
-    return JouleIntegrand(s_grid, x_l / l ** d, l)
+    _, eps, f = _lag_kernel(kernel, a_base, l, s_grid, "joule_integrand_x")
+    return JouleIntegrand(s_grid, _separable(eps, f) / l ** kernel.box.dim, l)
 
 
 def x_infinity(xi_fn: Callable[[np.ndarray], np.ndarray], a_base: FlatPulse,
@@ -190,24 +210,16 @@ def x_infinity(xi_fn: Callable[[np.ndarray], np.ndarray], a_base: FlatPulse,
 
 
 def flat_pulse_x_infinity(xi_fn, a_base: FlatPulse, w, s_grid) -> np.ndarray:
-    """Exact X_inf for the spatially flat pulse: chi = indicator of the support,
-    so int E_k E_q dx = (2 hw)^d eps(s1) eps(s2) w_k w_q."""
+    """Exact X_inf for the spatially flat pulse on a uniform grid: chi =
+    indicator of the support, so int E_k E_q dx = (2 hw)^d eps(s1) eps(s2) w_k w_q
+    and X_inf = vol eps(s1) eps(s2) G(|s1 - s2|) with G(tau) = w . Xi_p(tau) w."""
     s_grid = np.asarray(s_grid, dtype=float)
+    _uniform_step(s_grid, "flat_pulse_x_infinity")
     w = np.asarray(w, dtype=float)
     vol = (2.0 * a_base.spatial_halfwidth) ** a_base.dim
     efield, _ = pulse_efield_and_integral(a_base, w)
     eps = np.array([efield(s) for s in s_grid])
-    ns = len(s_grid)
-    out = np.zeros((ns, ns))
-    diffs = {}
-    for i1 in range(ns):
-        for i2 in range(ns):
-            key = round(float(s_grid[i1] - s_grid[i2]), 12)
-            if key not in diffs:
-                xi = xi_fn(np.array([s_grid[i1] - s_grid[i2]]))[0]
-                diffs[key] = float(w @ xi @ w)
-            out[i1, i2] = vol * eps[i1] * eps[i2] * diffs[key]
-    return out
+    return vol * _separable(eps, xi_fn(s_grid - s_grid[0]) @ w @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +267,8 @@ def diamagnetic_density(kernel: TransportKernel, a_base: FlatPulse, w, times) ->
     vol = (2.0 * a_base.spatial_halfwidth) ** a_base.dim
     efield, _ = pulse_efield_and_integral(a_base, w)
     eps = np.array([efield(s) for s in times])
-    cum = _cumulative_simpson(eps, times[1] - times[0])
+    cum = _cumulative_simpson(eps, _uniform_step(times, "diamagnetic_density"))
     return -vol * float(w @ kernel.xi_d() @ w) * 0.5 * cum ** 2
-
-
-def _bond_field_weights(kernel: TransportKernel, a_l: FlatPulse, s_grid):
-    """Canonical bonds, their integrated field per grid time, and the
-    field-weighted current sum_b E_s(b) I_b in the eigenbasis per grid time."""
-    bonds = list(kernel.box.bonds)
-    ew = np.zeros((len(s_grid), len(bonds)))
-    for it, s in enumerate(s_grid):
-        for ib, b in enumerate(bonds):
-            ew[it, ib] = integrated_field(a_l, s, b)
-    cur = [kernel.bond_current_eig(b) for b in bonds]
-    dimf = kernel.rep.dim
-    k_eig = np.zeros((len(s_grid), dimf, dimf), dtype=complex)
-    for it in range(len(s_grid)):
-        if np.any(ew[it]):
-            k_eig[it] = sum(ew[it, ib] * cur[ib] for ib in range(len(bonds)) if ew[it, ib])
-    return bonds, ew, k_eig
 
 
 def correction_term(kernel: TransportKernel, a_base: FlatPulse, l: float,
@@ -285,44 +280,26 @@ def correction_term(kernel: TransportKernel, a_base: FlatPulse, l: float,
 
     the exact eta^2-coefficient of (P - Id)/(eta^2 l^d); the macroscopic limit
     is int dx int ds <E(s,x), J_p(t,x)> with J_p frozen at the final time.
+    On a uniform grid this is l^-d A(t_i) int_{t0}^{t_i} eps(r) F(t_i - r) dr,
+    A the cumulative integral of eps.
     """
     times = np.asarray(times, dtype=float)
-    a_l = rescale(a_base, l, 1.0)
-    _, _, k_eig = _bond_field_weights(kernel, a_l, times)
-    h = times[1] - times[0]
-    g, nu = kernel.pair_weight, kernel.bohr
-    # cumulative field-weighted current: sum_b [int_{t0}^t E_s(b) ds] I_b
-    ka = _cumulative_simpson(k_eig, h)
-    out = np.zeros(len(times))
-    for it, t in enumerate(times):
-        if it == 0 or not np.any(ka[it]):
-            continue
-        # response factor: int_{t0}^t dr K(r)_{mn} (e^{i (t-r) nu_{mn}} - 1)
-        phases = np.exp(1j * np.multiply.outer(t - times[:it + 1], nu)) - 1.0
-        wts = _simpson_weights(it, h)
-        resp = np.einsum("s,smn,smn->mn", wts, k_eig[:it + 1], phases)
-        out[it] = np.einsum("mn,nm,mn->", resp, ka[it], g).real
+    h, eps, f = _lag_kernel(kernel, a_base, l, times, "correction_term")
+    cum = _cumulative_simpson(eps, h)
+    out = np.array([cum[i] * (_simpson_weights(i, h) @ (eps[:i + 1] * f[i::-1]))
+                    for i in range(len(times))])
     return out / l ** kernel.box.dim
 
 
 def diamagnetic_density_exact(kernel: TransportKernel, a_base: FlatPulse,
                               l: float, times) -> np.ndarray:
     """Exact eta^2-coefficient of Id/(eta^2 l^d):
-    -(1/2) l^-d sum_b phase_b(t)^2 rho(P_b)."""
-    times = np.asarray(times, dtype=float)
+    -(1/2) l^-d sum_b phase_b(t)^2 rho(P_b), phase_b(t) = eta env(t) w_b."""
     a_l = rescale(a_base, l, 1.0)
-    box = kernel.box
-    p_exp = np.array([kernel.state.expect(
-        paramagnetic_partner_obs(kernel.rep, box, [b], kernel.omega, kernel.theta).mat).real
-        for b in box.bonds])
-    out = np.zeros(len(times))
-    for it, t in enumerate(times):
-        if a_l.is_off(t):
-            # cyclic: the Peierls phase vanishes with A
-            continue
-        phases = np.array([bond_phase(a_l, t, *b) for b in box.bonds])
-        out[it] = -0.5 * float(np.dot(phases ** 2, p_exp))
-    return out / l ** box.dim
+    weighted = sum(wb ** 2 * kernel.sigma_d(b) for b in kernel.box.bonds
+                   if (wb := a_l.bond_weight(*b)))
+    amp = np.array([a_l.eta * a_l.env(t) for t in np.asarray(times, dtype=float)])
+    return -0.5 * amp ** 2 * weighted / l ** kernel.box.dim
 
 
 def heat_production_identity(trace: EnergyTrace, kernel: TransportKernel,

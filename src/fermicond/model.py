@@ -283,17 +283,21 @@ class FlatPulse:
                 lo, hi = max(lo, a), min(hi, b)
         return max(hi - lo, 0.0)
 
+    def bond_weight(self, x, y) -> float:
+        """(w . (y - x)) times the fraction of the bond on the plateau: the
+        spatial factor of the bond's field, exactly antisymmetric."""
+        dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        return float(np.dot(self.w, dx)) * self._plateau_fraction(x, y)
+
 
 def integrated_field(a: FlatPulse, t: float, bond) -> float:
     """E_t^A(x) = int_0^1 [E(t, alpha x2 + (1-alpha) x1)](x2 - x1) dalpha.
 
-    E is constant on the plateau, so this is -eta env'(t) (w . dx) times the
-    fraction of the bond on the plateau."""
+    E is constant on the plateau, so this is -eta env'(t) times the bond
+    weight."""
     if a.is_off(t):
         return 0.0
-    dx = np.asarray(bond[1], dtype=float) - np.asarray(bond[0], dtype=float)
-    e = float(np.dot(a.eta * (-a.denv(t) * a.w), dx))
-    return e * a._plateau_fraction(bond[0], bond[1])
+    return float(-a.eta * a.denv(t) * a.bond_weight(*bond))
 
 
 def bond_phase(a: FlatPulse, t: float, x: Site, y: Site) -> float:

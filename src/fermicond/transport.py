@@ -20,8 +20,8 @@ import numpy as np
 
 from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    duhamel_pair_eig, evolve
-from .fock import FockRep, OperatorMatrix, bilinear
+    _uniform_step, duhamel_pair_eig, evolve
+from .fock import FockRep, OperatorMatrix
 from .lattice import Box, DisorderSample, Site, shift
 from .model import FlatPulse, bond_phase, build_hamiltonian, build_w, \
     InterparticleInteraction
@@ -52,13 +52,13 @@ def axis_bonds(box: Box, k: int) -> list:
 
 
 def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
-                   pair: Callable[[complex], tuple[complex, complex]]) -> np.ndarray:
-    """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(c_b), scattered
+                   pair: Callable[[tuple, complex], tuple[complex, complex]]) -> np.ndarray:
+    """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(b, c_b), scattered
     from the hop triples; distinct bonds have disjoint supports, so the sum
     holds exactly the entries of the single-bond matrices."""
     m = np.zeros((rep.dim, rep.dim), dtype=complex)
     for x1, x2 in bonds:
-        f, g = pair(_hopping_entry(box, omega, theta, x1, x2))
+        f, g = pair((x1, x2), _hopping_entry(box, omega, theta, x1, x2))
         rows, cols, signs = rep.hop(x1, x2)
         m[rows, cols] += f * signs
         m[cols, rows] += g * signs
@@ -70,7 +70,7 @@ def current_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
     """sum over oriented bonds (x1, x2) of I = -2 Im(<e_x1, Delta e_x2> a_x1^* a_x2)
     = i(c a1* a2 - conj(c) a2* a1); a single bond is passed as [bond]."""
     return OperatorMatrix(
-        _scatter_bonds(rep, box, bonds, omega, theta, lambda c: (1j * c, -1j * np.conj(c))),
+        _scatter_bonds(rep, box, bonds, omega, theta, lambda _, c: (1j * c, -1j * np.conj(c))),
         "even")
 
 
@@ -78,21 +78,23 @@ def paramagnetic_partner_obs(rep: FockRep, box: Box, bonds, omega: DisorderSampl
                              theta: float) -> OperatorMatrix:
     """sum over oriented bonds (x1, x2) of P = 2 Re(<e_x1, Delta e_x2> a_x1^* a_x2)."""
     return OperatorMatrix(
-        _scatter_bonds(rep, box, bonds, omega, theta, lambda c: (c, np.conj(c))), "even")
+        _scatter_bonds(rep, box, bonds, omega, theta, lambda _, c: (c, np.conj(c))), "even")
 
 
-def diamagnetic_obs(rep: FockRep, box: Box, bond, omega: DisorderSample, theta: float,
+def diamagnetic_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
                     a: FlatPulse, t: float) -> OperatorMatrix:
-    """Field correction to the bond current: the Peierls factor appears with a
-    conjugated phase, (e^{-i arg} - 1), so that the eta-derivative reproduces
-    the diamagnetic Ohm coefficient."""
-    x1, x2 = bond
+    """sum over oriented bonds of the field correction to the bond current: the
+    Peierls factor appears with a conjugated phase, (e^{-i arg} - 1), so that
+    the eta-derivative reproduces the diamagnetic Ohm coefficient; a single
+    bond is passed as [bond]."""
     if a.is_off(t):
         return rep.zero()
-    c = _hopping_entry(box, omega, theta, x1, x2)
-    arg = bond_phase(a, t, x1, x2)
-    m = bilinear(rep, x1, x2, (np.exp(-1j * arg) - 1.0) * c).mat
-    return OperatorMatrix(1j * (m - m.conj().T), "even")
+
+    def pair(bond, c):
+        coef = (np.exp(-1j * bond_phase(a, t, *bond)) - 1.0) * c
+        return 1j * coef, -1j * np.conj(coef)
+
+    return OperatorMatrix(_scatter_bonds(rep, box, bonds, omega, theta, pair), "even")
 
 
 @dataclass
@@ -340,10 +342,8 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
         j_p, j_d = np.zeros(box.dim), np.zeros(box.dim)
         for k in range(box.dim):
             j_p[k] = np.einsum("ij,ji->", rho, para_ops[k]).real / vol - j_th[k]
-            dia = sum(diamagnetic_obs(rep, box, b, omega, theta, a_scaled, t).mat
-                      for b in bonds_per_axis[k])
-            if isinstance(dia, np.ndarray):
-                j_d[k] = np.einsum("ij,ji->", rho, dia).real / vol
+            dia = diamagnetic_obs(rep, box, bonds_per_axis[k], omega, theta, a_scaled, t).mat
+            j_d[k] = np.einsum("ij,ji->", rho, dia).real / vol
         return j_p, j_d
 
     j_p, j_d = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))
@@ -369,9 +369,7 @@ def ohm_linear(kernel: TransportKernel, efield: Callable[[float], float], w,
     times = np.asarray(times, dtype=float)
     w = np.asarray(w, dtype=float)
     d = kernel.dim_space
-    h = times[1] - times[0]
-    if not np.allclose(np.diff(times), h):
-        raise ValueError("ohm_linear expects a uniform time grid")
+    h = _uniform_step(times, "ohm_linear")
     evals = np.array([efield(s) for s in times])
     # all differences t_i - t_j live on the same uniform grid
     xi_series = kernel.xi_p(times - times[0])

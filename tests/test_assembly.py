@@ -111,7 +111,7 @@ def test_bit_assembly_equals_dense_strings(case):
                                   m + m.conj().T)
             ph = np.exp(-1j * bond_phase(a, 0.37, *bond)) - 1.0
             md = ph * hop[box.index[bond[0]], box.index[bond[1]]] * dense(*bond)
-            assert np.array_equal(diamagnetic_obs(rep, box, bond, omega, theta, a, 0.37).mat,
+            assert np.array_equal(diamagnetic_obs(rep, box, [bond], omega, theta, a, 0.37).mat,
                                   1j * (md - md.conj().T))
 
     total = np.zeros((rep.dim, rep.dim), dtype=complex)
@@ -131,16 +131,29 @@ def test_bond_sums_equal_single_bond_sums(case):
     rep = FockRep(order)
     dense = functools.cache(lambda x, y: dense_bilinear(rep, x, y))
     hop = build_hopping(box, omega, theta)
+    a = rescale(flat_pulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
+
+    def dia_obs(rep, box, bonds, omega, theta):
+        return diamagnetic_obs(rep, box, bonds, omega, theta, a, 0.37)
+
+    def current(m):
+        return 1j * (m - m.conj().T)
+
+    # (observable, bond coefficient from (bond, c_b), oracle of coefficient * a_x1^* a_x2)
+    observables = ((current_obs, lambda _, c: c, current),
+                   (paramagnetic_partner_obs, lambda _, c: c, lambda m: m + m.conj().T),
+                   (dia_obs, lambda b, c: (np.exp(-1j * bond_phase(a, 0.37, *b)) - 1.0) * c,
+                    current))
     bond_sets = [axis_bonds(box, k) for k in range(box.dim)] + [list(box.bonds)]
     for bonds in bond_sets:
         assert bonds
         zero = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for obs, oracle in ((current_obs, lambda m: 1j * (m - m.conj().T)),
-                            (paramagnetic_partner_obs, lambda m: m + m.conj().T)):
+        for obs, coef, oracle in observables:
             singles, strings = zero.copy(), zero.copy()
             for bond in bonds:
                 singles += obs(rep, box, [bond], omega, theta).mat
-                strings += oracle(hop[box.index[bond[0]], box.index[bond[1]]] * dense(*bond))
+                c = hop[box.index[bond[0]], box.index[bond[1]]]
+                strings += oracle(coef(bond, c) * dense(*bond))
             summed = obs(rep, box, bonds, omega, theta)
             assert summed.parity == "even"
             assert np.array_equal(summed.mat, singles)

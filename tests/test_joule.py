@@ -1,6 +1,11 @@
-import numpy as np
+import tracemalloc
 
-from fermicond.model import flat_pulse, rescale
+import numpy as np
+import pytest
+
+from fermicond.equilibrium import _cumulative_simpson, _simpson_weights
+from fermicond.model import bond_phase, flat_pulse, integrated_field, rescale
+from fermicond.transport import paramagnetic_partner_obs
 from fermicond.joule import (correction_term, diamagnetic_density,
                              diamagnetic_density_exact, energy_increments,
                              flat_pulse_x_infinity, heat_production_identity,
@@ -11,6 +16,73 @@ from conftest import make_system, nn_interaction
 
 A_BASE = flat_pulse(1, [1.0], t0=0.0, t1=1.0, halfwidth=1.0)
 W = np.array([1.0])
+# 2x3 box (sites {0, 1} x {-1, 0, 1}), direction (1, 0.5)
+BOX_PULSE = flat_pulse(2, [1.0, 0.5], t0=0.0, t1=1.0, halfwidth=0.5)
+
+
+def bond_kinds(a_l, bonds):
+    """inside / straddling / touching / face / outside of each canonical bond
+    of the rescaled pulse, from its plateau fraction f: straddling 0 < f < 1,
+    touching f = 0 with an endpoint on the plateau, face f > 0 with a fixed
+    coordinate on the plateau's edge."""
+    kinds = set()
+    for x, y in bonds:
+        f = a_l._plateau_fraction(x, y)
+        face = any(xk == yk and abs(abs(xk / a_l.scale) - a_l.halfwidth) <= 1e-12
+                   for xk, yk in zip(x, y))
+        if 0.0 < f < 1.0:
+            kinds.add("straddling")
+        elif f == 0.0:
+            kinds.add("touching" if a_l._inside(x) or a_l._inside(y) else "outside")
+        else:
+            kinds.add("face" if face else "inside")
+    return kinds
+
+
+def bond_field_weights_oracle(kernel, a_l, s_grid):
+    """The per-time field-weighted currents sum_b E_s(b) I_b in the eigenbasis."""
+    bonds = list(kernel.box.bonds)
+    ew = np.array([[integrated_field(a_l, s, b) for b in bonds] for s in s_grid])
+    cur = [kernel.bond_current_eig(b) for b in bonds]
+    dimf = kernel.rep.dim
+    k_eig = np.zeros((len(s_grid), dimf, dimf), dtype=complex)
+    for it in range(len(s_grid)):
+        if np.any(ew[it]):
+            k_eig[it] = sum(ew[it, ib] * cur[ib] for ib in range(len(bonds)) if ew[it, ib])
+    return k_eig
+
+
+def correction_term_oracle(kernel, a_base, l, times):
+    """correction_term with a dim^2 response array per time."""
+    times = np.asarray(times, dtype=float)
+    k_eig = bond_field_weights_oracle(kernel, rescale(a_base, l, 1.0), times)
+    h = times[1] - times[0]
+    g, nu = kernel.pair_weight, kernel.bohr
+    ka = _cumulative_simpson(k_eig, h)
+    out = np.zeros(len(times))
+    for it, t in enumerate(times):
+        if it == 0 or not np.any(ka[it]):
+            continue
+        phases = np.exp(1j * np.multiply.outer(t - times[:it + 1], nu)) - 1.0
+        wts = _simpson_weights(it, h)
+        resp = np.einsum("s,smn,smn->mn", wts, k_eig[:it + 1], phases)
+        out[it] = np.einsum("mn,nm,mn->", resp, ka[it], g).real
+    return out / l ** kernel.box.dim
+
+
+def diamagnetic_density_exact_oracle(kernel, a_base, l, times):
+    """diamagnetic_density_exact from the Peierls phase of every bond at every time."""
+    a_l = rescale(a_base, l, 1.0)
+    box = kernel.box
+    p_exp = np.array([kernel.state.expect(
+        paramagnetic_partner_obs(kernel.rep, box, [b], kernel.omega, kernel.theta).mat).real
+        for b in box.bonds])
+    out = np.zeros(len(times))
+    for it, t in enumerate(times):
+        if not a_l.is_off(t):
+            phases = np.array([bond_phase(a_l, t, *b) for b in box.bonds])
+            out[it] = -0.5 * float(np.dot(phases ** 2, p_exp))
+    return out / l ** box.dim
 
 
 def run_trace(sys, eta, l=2.0, times=None, dt=0.01):
@@ -63,19 +135,33 @@ def test_x_integrand_trivial_zeros():
     assert np.abs(x0.x_l).max() == 0.0
 
 
-def test_x_integrand_is_the_bond_pair_sum():
+# (system, base pulse, l, the bond kinds other than inside/outside); touching
+# needs a site beyond an integer plateau edge, straddling a non-integer edge,
+# and the 2x3 box has no site beyond the edge 1, so they take separate cases
+PAIR_SUM_CASES = {
+    "chain4": (dict(n_sites=4), A_BASE, 2.0, set()),
+    "chain5-touching": (dict(n_sites=5), A_BASE, 1.0, {"touching"}),
+    "box2x3-straddling": (dict(shape=(2, 3)), BOX_PULSE, 1.5, {"straddling"}),
+    "box2x3-face": (dict(shape=(2, 3)), BOX_PULSE, 2.0, {"face"}),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_SUM_CASES)
+def test_x_integrand_is_the_bond_pair_sum(case):
     # X_l(s1, s2) = l^-d sum_{b, b'} E_s1(b) E_s2(b') sigma_p(b, b', s1 - s2)
-    from fermicond.model import integrated_field
-    sys = make_system(4, "iid-uniform", seed=3, theta=0.5)
-    kernel, bonds, l = sys["kernel"], sys["box"].bonds, 2.0
+    shape, a_base, l, kinds = PAIR_SUM_CASES[case]
+    sys = make_system(kind="iid-uniform", seed=3, theta=0.5, **shape)
+    kernel, bonds = sys["kernel"], sys["box"].bonds
     sgrid = np.linspace(0.0, 1.2, 7)
-    a_l = rescale(A_BASE, l, 1.0)
+    a_l = rescale(a_base, l, 1.0)
+    assert bond_kinds(a_l, bonds) - {"inside", "outside"} == kinds
     e = np.array([[0.0 if a_l.is_off(s) else integrated_field(a_l, s, b) for b in bonds]
                   for s in sgrid])
     want = np.array([[sum(e[i1, ib] * e[i2, jb] * kernel.sigma_p(b, c, s1 - s2)
                           for ib, b in enumerate(bonds) for jb, c in enumerate(bonds))
-                      for i2, s2 in enumerate(sgrid)] for i1, s1 in enumerate(sgrid)]) / l
-    x = joule_integrand_x(kernel, A_BASE, l, sgrid)
+                      for i2, s2 in enumerate(sgrid)] for i1, s1 in enumerate(sgrid)]) \
+        / l ** sys["box"].dim
+    x = joule_integrand_x(kernel, a_base, l, sgrid)
     assert np.abs(want).max() > 1e-2
     assert np.abs(x.x_l - want).max() <= 1e-12
 
@@ -86,7 +172,6 @@ def test_x_uniform_bound():
     l = 2.0
     x = joule_integrand_x(sys["kernel"], A_BASE, l, sgrid)
     # tight envelope: bond-pair count x field weights x sup |sigma_p|
-    from fermicond.model import integrated_field
     a_l = rescale(A_BASE, l, 1.0)
     emax = max(abs(integrated_field(a_l, s, b))
                for s in sgrid for b in sys["box"].bonds)
@@ -207,3 +292,51 @@ def test_correction_term_vanishes_without_response():
     times = np.linspace(0.0, 1.0, 11)
     corr = correction_term(sys["kernel"], A_BASE, 2.0, times)
     assert corr[0] == 0.0
+
+
+# the 6-site chain of test_heat_identity_eta_scan and the straddling 2x3 box
+ORACLE_CASES = {
+    "chain6": (dict(n_sites=6, kind="iid-real-hopping", seed=5, theta=0.3, lam=0.5),
+               A_BASE, 2.0),
+    "box2x3": (dict(shape=(2, 3), kind="iid-uniform", seed=3, theta=0.5), BOX_PULSE, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_correction_and_diamagnetic_terms_match_per_time_oracles(case):
+    kwargs, a_base, l = ORACLE_CASES[case]
+    kernel = make_system(**kwargs)["kernel"]
+    times = np.linspace(0.0, 1.5, 61)
+    for fn, oracle in ((correction_term, correction_term_oracle),
+                       (diamagnetic_density_exact, diamagnetic_density_exact_oracle)):
+        want = oracle(kernel, a_base, l, times)
+        got = fn(kernel, a_base, l, times)
+        assert np.abs(want).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_grid_functions_need_a_uniform_grid():
+    kernel = make_system(4, "iid-uniform", seed=3, theta=0.5)["kernel"]
+    geometric = np.geomspace(0.01, 1.5, 16)
+    with pytest.raises(ValueError, match="uniform"):
+        joule_integrand_x(kernel, A_BASE, 2.0, geometric)
+    with pytest.raises(ValueError, match="uniform"):
+        correction_term(kernel, A_BASE, 2.0, geometric)
+    with pytest.raises(ValueError, match="uniform"):
+        flat_pulse_x_infinity(kernel.xi_p, A_BASE, W, geometric)
+    with pytest.raises(ValueError, match="uniform"):
+        diamagnetic_density(kernel, A_BASE, W, geometric)
+
+
+def test_x_integrand_memory():
+    # no per-time dim x dim stack: dim 256 over 41 grid times stays small
+    sys = make_system(8, "iid-uniform", seed=2, theta=0.4, lam=0.8, ip=nn_interaction(0.8))
+    assert sys["rep"].dim == 256
+    sgrid = np.linspace(0.0, 1.5, 41)
+    tracemalloc.start()
+    try:
+        joule_integrand_x(sys["kernel"], A_BASE, 2.0, sgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20

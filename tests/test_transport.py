@@ -63,9 +63,9 @@ def test_diamagnetic_obs_zero_cases():
     a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     zero = rescale(a, 1.0, 0.0)
     bond = ((1,), (0,))
-    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.0,
+    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
                                   zero, 0.5)) <= 1e-14
-    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.0,
+    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
                                   a, 2.0)) == 0.0  # after t1
 
 
@@ -78,7 +78,7 @@ def test_diamagnetic_obs_small_field_expansion():
     t = 0.5
     arg = bond_phase(a, t, bond[0], bond[1])
     assert 0 < abs(arg) < 1e-3
-    dia = diamagnetic_obs(sys["rep"], sys["box"], bond, sys["omega"], 0.5, a, t)
+    dia = diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.5, a, t)
     p = paramagnetic_partner_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.5)
     assert opnorm(dia - arg * p) <= 2.0 * arg ** 2 * opnorm(p)
 
