@@ -189,6 +189,8 @@ class ExperimentConfig:
             e.append("field.etas: must be non-empty")
         elif not all(eta > 0 for eta in f.etas):
             e.append("field.etas: must all be > 0")
+        elif len(set(f.etas)) < max(2, len(f.etas)):
+            e.append("field.etas: needs at least two values, all distinct")
         if not f.halfwidth > 0:
             e.append("field.halfwidth: must be > 0")
         if f.scale <= 0:

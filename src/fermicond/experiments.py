@@ -168,8 +168,9 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
         order = np.polyfit(np.log(etas), np.log(resid), 1)[0]
     else:
         order = 2.0
-    rich = (2 * traces[etas[0]].j_p[-1] / etas[0] - traces[etas[1]].j_p[-1] / etas[1]) \
-        if len(etas) >= 2 else traces[etas[0]].j_p[-1] / etas[0]
+    # two-point Richardson: j(eta)/eta = J_lin + O(eta), cancelled for any ratio
+    r = etas[1] / etas[0]
+    rich = (r * traces[etas[0]].j_p[-1] / etas[0] - traces[etas[1]].j_p[-1] / etas[1]) / (r - 1)
     extr_err = float(np.linalg.norm(rich - j_lin[-1]))
     files.append(write_csv(outdir / "ohm_report.csv", ["quantity", "value"],
                            [["remainder_order", order],

@@ -23,6 +23,10 @@ class RangeExceedsBoxError(Exception):
     pass
 
 
+class NotABondError(Exception):
+    pass
+
+
 class BoundaryProximityWarning(UserWarning):
     """Field support closer to the box boundary than the safe margin."""
 
@@ -364,26 +368,33 @@ def potential_diagonal(box: Box, omega: DisorderSample) -> np.ndarray:
     return np.array([omega.site(s) for s in box.sites], dtype=float)
 
 
-def peierls_hopping(hop: np.ndarray, box: Box, a: FlatPulse, t: float) -> np.ndarray:
-    """Multiply each bond entry by exp(i * bond phase); diagonal unchanged.
-
-    Phases along the two orientations are exact negatives, so hermiticity is
-    preserved identically.
-    """
-    out = hop.astype(complex).copy()
-    if a.is_off(t):
-        return out
-    for (x, y) in box.bonds:
-        phi = bond_phase(a, t, x, y)
-        i, j = box.index[x], box.index[y]
-        out[i, j] = hop[i, j] * np.exp(1j * phi)
-        out[j, i] = np.conj(out[i, j])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # many-body observables
 # ---------------------------------------------------------------------------
+
+def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Site) -> complex:
+    """Entry <e_x, Delta e_y> without building the full matrix."""
+    if not box.has_bond(x, y):
+        raise NotABondError(f"({x}, {y}) is not a nearest-neighbor bond of the box")
+    z = omega.bond(x, y)
+    lo, hi = (x, y) if x <= y else (y, x)
+    val = -(1.0 + theta * z)  # row lo, column hi
+    return val if (x, y) == (lo, hi) else np.conj(val)
+
+
+def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
+                   pair: Callable[[tuple, complex], tuple[complex, complex]]) -> np.ndarray:
+    """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(b, c_b), scattered
+    from the hop triples; distinct bonds have disjoint supports, so the sum
+    holds exactly the entries of the single-bond matrices."""
+    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for x1, x2 in bonds:
+        f, g = pair((x1, x2), _hopping_entry(box, omega, theta, x1, x2))
+        rows, cols, signs = rep.hop(x1, x2)
+        m[rows, cols] += f * signs
+        m[cols, rows] += g * signs
+    return m
+
 
 def _quadratic(rep: FockRep, box: Box, one_particle: np.ndarray) -> np.ndarray:
     """sum_{x,y} M_{xy} a_x^dagger a_y over the nonzero entries of M."""
@@ -419,12 +430,18 @@ def build_hamiltonian(rep: FockRep, box: Box, omega: DisorderSample, theta: floa
 
 def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
             a: FlatPulse, t: float) -> OperatorMatrix:
-    """W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y; zero outside [t0, t1]."""
+    """W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y; zero outside [t0, t1].
+
+    Only bond entries carry a Peierls phase, so W_t is the bond sum of
+    (c e^{i phi} - c) a_x* a_y + h.c. with c = <e_x, Delta e_y>."""
     if a.is_off(t):
         return rep.zero()
-    hop = build_hopping(box, omega, theta)
-    diff = peierls_hopping(hop, box, a, t) - hop
-    return OperatorMatrix(_quadratic(rep, box, diff), "even")
+
+    def pair(bond, c):
+        cp = c * np.exp(1j * bond_phase(a, t, *bond))
+        return cp - c, np.conj(cp) - np.conj(c)
+
+    return OperatorMatrix(_scatter_bonds(rep, box, box.bonds, omega, theta, pair), "even")
 
 
 def w_time_derivative(rep: FockRep, box: Box, omega: DisorderSample, theta: float,

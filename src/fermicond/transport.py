@@ -23,46 +23,18 @@ from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
     _uniform_step, duhamel_pair_eig, evolve
 from .fock import FockRep, OperatorMatrix
 from .lattice import Box, DisorderSample, Site, shift
-from .model import FlatPulse, bond_phase, build_hamiltonian, build_w, \
-    InterparticleInteraction
-
-
-class NotABondError(Exception):
-    pass
+from .model import FlatPulse, NotABondError, _scatter_bonds, bond_phase, \
+    build_hamiltonian, build_w, InterparticleInteraction
 
 
 class SupportOverflowError(Exception):
     pass
 
 
-def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Site) -> complex:
-    """Entry <e_x, Delta e_y> without building the full matrix."""
-    if not box.has_bond(x, y):
-        raise NotABondError(f"({x}, {y}) is not a nearest-neighbor bond of the box")
-    z = omega.bond(x, y)
-    lo, hi = (x, y) if x <= y else (y, x)
-    val = -(1.0 + theta * z)  # row lo, column hi
-    return val if (x, y) == (lo, hi) else np.conj(val)
-
-
 def axis_bonds(box: Box, k: int) -> list:
     """Oriented bonds (x + e_k, x) of the box along axis k, in site order."""
     e = np.eye(box.dim, dtype=int)[k]
     return [(shift(x, e), x) for x in box.sites if shift(x, e) in box.index]
-
-
-def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
-                   pair: Callable[[tuple, complex], tuple[complex, complex]]) -> np.ndarray:
-    """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(b, c_b), scattered
-    from the hop triples; distinct bonds have disjoint supports, so the sum
-    holds exactly the entries of the single-bond matrices."""
-    m = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for x1, x2 in bonds:
-        f, g = pair((x1, x2), _hopping_entry(box, omega, theta, x1, x2))
-        rows, cols, signs = rep.hop(x1, x2)
-        m[rows, cols] += f * signs
-        m[cols, rows] += g * signs
-    return m
 
 
 def current_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
@@ -259,10 +231,7 @@ class TransportKernel:
         cr, nur = c[reg], nu[reg]
         phases = np.exp(1j * np.multiply.outer(t, nur)) - 1.0
         out = phases @ cr
-        # |nu| ~ 0 pairs: (e^{i t nu} - 1) -> i t nu; with the g-weight convention
-        # used here the full degenerate contribution is i * t * c (c already has
-        # the beta p limit folded in via pair_weight * nu -> 0 ... it vanishes
-        # for exact Gibbs weights, kept for near-degenerate robustness)
+        # |nu| ~ 0 pairs add i t sum c nu, the first-order term of e^{i t nu} - 1
         ct = c[self._tiny]
         if ct.size:
             out = out + np.multiply.outer(t, 1j * (ct * nu[self._tiny]).sum())
@@ -312,7 +281,6 @@ class CurrentDensityTrace:
     times: np.ndarray
     j_th: np.ndarray   # (d,)
     j_p: np.ndarray    # (nt, d)
-    j_d: np.ndarray    # (nt, d)
     eta: float
 
 
@@ -320,34 +288,28 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
                     a_scaled: FlatPulse, eta: float, times,
                     dt: float) -> CurrentDensityTrace:
-    """J_p and J_d along the driven evolution generated by H + W_t(eta * A_l)."""
+    """J_p along the driven evolution generated by H + W_t(eta * A_l)."""
     times = np.asarray(times, dtype=float)
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
     vol = len(box)
 
-    bonds_per_axis = [axis_bonds(box, k) for k in range(box.dim)]
-    para_ops = [current_obs(rep, box, bonds, omega, theta).mat for bonds in bonds_per_axis]
+    para_ops = [current_obs(rep, box, axis_bonds(box, k), omega, theta).mat
+                for k in range(box.dim)]
 
     j_th = np.array([state.expect(op).real / vol for op in para_ops])
 
     if eta == 0.0:
-        nt = len(times)
-        return CurrentDensityTrace(times, j_th, np.zeros((nt, box.dim)),
-                                   np.zeros((nt, box.dim)), 0.0)
+        return CurrentDensityTrace(times, j_th, np.zeros((len(times), box.dim)), 0.0)
 
     def h_of_t(t):
         return h0 + build_w(rep, box, omega, theta, a_scaled, t).mat
 
     def observe(t, rho):
-        j_p, j_d = np.zeros(box.dim), np.zeros(box.dim)
-        for k in range(box.dim):
-            j_p[k] = np.einsum("ij,ji->", rho, para_ops[k]).real / vol - j_th[k]
-            dia = diamagnetic_obs(rep, box, bonds_per_axis[k], omega, theta, a_scaled, t).mat
-            j_d[k] = np.einsum("ij,ji->", rho, dia).real / vol
-        return j_p, j_d
+        return [np.einsum("ij,ji->", rho, op).real / vol - jt
+                for op, jt in zip(para_ops, j_th)]
 
-    j_p, j_d = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))
-    return CurrentDensityTrace(times, j_th, j_p, j_d, eta)
+    j_p = np.array(evolve(state.density, h_of_t, times, dt, observe))
+    return CurrentDensityTrace(times, j_th, j_p, eta)
 
 
 def ohm_linear(kernel: TransportKernel, efield: Callable[[float], float], w,

@@ -4,7 +4,8 @@ import pytest
 from fermicond.equilibrium import GibbsState, SpectralData
 from fermicond.fock import FockRep, OperatorMatrix
 from fermicond.lattice import Box, DisorderDistribution
-from fermicond.model import InterparticleInteraction, build_hamiltonian
+from fermicond.model import FlatPulse, InterparticleInteraction, bond_phase, \
+    build_hamiltonian
 from fermicond.transport import TransportKernel
 
 
@@ -31,6 +32,23 @@ def make_system(n_sites=5, kind="deterministic-zero", seed=1, theta=0.0, lam=0.0
     kernel = TransportKernel(rep, box, omega, theta, state)
     return {"box": box, "rep": rep, "omega": omega, "h": h, "spectral": spectral,
             "state": state, "kernel": kernel, "theta": theta, "lam": lam, "ip": ip}
+
+
+def peierls_hopping(hop: np.ndarray, box: Box, a: FlatPulse, t: float) -> np.ndarray:
+    """Multiply each bond entry by exp(i * bond phase); diagonal unchanged.
+
+    Phases along the two orientations are exact negatives, so hermiticity is
+    preserved identically.
+    """
+    out = hop.astype(complex).copy()
+    if a.is_off(t):
+        return out
+    for (x, y) in box.bonds:
+        phi = bond_phase(a, t, x, y)
+        i, j = box.index[x], box.index[y]
+        out[i, j] = hop[i, j] * np.exp(1j * phi)
+        out[j, i] = np.conj(out[i, j])
+    return out
 
 
 def random_local(rng, rep, hermitian=False):

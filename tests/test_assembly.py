@@ -16,12 +16,12 @@ from fermicond.experiments import DEFAULT_BATTERY
 from fermicond.fock import FockRep, bilinear
 from fermicond.lattice import Box, DisorderDistribution
 from fermicond.model import (InterparticleInteraction, bond_phase, build_hamiltonian,
-                             build_hopping, build_w, flat_pulse, peierls_hopping,
-                             potential_diagonal, rescale)
+                             build_hopping, build_w, flat_pulse, potential_diagonal,
+                             rescale)
 from fermicond.transport import axis_bonds, current_obs, diamagnetic_obs, \
     paramagnetic_partner_obs
 
-from conftest import nn_interaction
+from conftest import nn_interaction, peierls_hopping
 
 
 def dense_bilinear(rep, x, y):
@@ -97,10 +97,15 @@ def test_bit_assembly_equals_dense_strings(case):
                           + dense_interaction(dense, rep.dim, box, ip))
 
     a = rescale(flat_pulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
-    for t in (0.0, 0.37, 1.5):  # field off, on, off
-        diff = peierls_hopping(hop, box, a, t) - hop
-        assert np.array_equal(build_w(rep, box, omega, theta, a, t).mat,
-                              dense_quadratic(dense, rep.dim, box, diff))
+    # plateau edge at 0.75: some bonds lie only partly on the plateau
+    straddle = rescale(flat_pulse(box.dim, np.linspace(1, 0.5, box.dim), 0, 1, halfwidth=0.5),
+                       1.5, 0.3)
+    assert any(0 < straddle._plateau_fraction(*b) < 1 for b in box.bonds)
+    for field in (a, straddle):
+        for t in (0.0, 0.37, 1.5):  # field off, on, off
+            diff = peierls_hopping(hop, box, field, t) - hop
+            assert np.array_equal(build_w(rep, box, omega, theta, field, t).mat,
+                                  dense_quadratic(dense, rep.dim, box, diff))
 
     for x, y in box.bonds:
         for bond in ((x, y), (y, x)):

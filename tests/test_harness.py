@@ -65,10 +65,12 @@ def test_config_field_level_errors(tmp_path):
     msgs = "\n".join(err.value.errors)
     assert "model.beta" in msgs and "disorder.kind" in msgs and "run.dt" in msgs
     # field input that would otherwise run: a nan Richardson check that passes
-    # its gate, an SVD crash, a field that never switches on
+    # its gate, an SVD crash, a field that never switches on, a remainder slope
+    # fitted through one eta
     bad_fields = [("field.w", [0.0]), ("field.w", [float("nan")]),
                   ("field.w", [float("inf")]), ("field.etas", [0.02, 0.0]),
-                  ("field.etas", [-0.04]), ("field.halfwidth", 0.0),
+                  ("field.etas", [-0.04]), ("field.etas", [0.04]),
+                  ("field.etas", [0.04, 0.04]), ("field.halfwidth", 0.0),
                   ("field.halfwidth", -1.0)]
     for i, (key, value) in enumerate(bad_fields):
         p = write_config(tmp_path, {key: value}, name=f"field{i}.json")
@@ -396,6 +398,25 @@ def test_experiment_smoke(tmp_path, monkeypatch, experiment, overrides):
     manifest = run_experiment(experiment, cfg, tmp_path / "out")
     assert manifest["gate_failures"] == [], manifest["gate_failures"]
     assert manifest["files"]
+
+
+def test_ohm_richardson_any_eta_ratio(tmp_path, monkeypatch):
+    # eta2 / eta1 = 2.5: the two-point extrapolation (r x - y) / (r - 1) of the
+    # scaled currents x = j(eta1)/eta1, y = j(eta2)/eta2 cancels their O(eta) term
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = ExperimentConfig.load(write_config(tmp_path, {
+        "model.theta": 0.5, "disorder.kind": "iid-uniform", "field.etas": [0.02, 0.05]}))
+    run_experiment("ohm", cfg, tmp_path / "out")
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "out" / "ohm.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    last = dict(zip(header, map(float, rows[-1])))
+    r = 0.05 / 0.02
+    x, y = last["J_p_eta0.02[0]"], last["J_p_eta0.05[0]"]
+    expected = abs((r * x - y) / (r - 1) - last["J_lin[0]"])
+    report = dict(line.split(",") for line in
+                  (tmp_path / "out" / "ohm_report.csv").read_text().splitlines()[1:])
+    assert abs(float(report["richardson_vs_convolution"]) - expected) <= 1e-12 * expected
 
 
 def test_report_csvs_plain_floats(tmp_path, monkeypatch):

@@ -12,10 +12,10 @@ from fermicond.model import (BoundaryProximityWarning, DecayFunction,
                              bond_phase, build_hamiltonian, build_hopping, build_w,
                              check_field_margin, decay_checks,
                              flat_pulse, full_interaction_norm, integrated_field,
-                             interaction_norm, peierls_hopping, potential_diagonal,
+                             interaction_norm, potential_diagonal,
                              rescale, w_time_derivative)
 
-from conftest import nn_interaction
+from conftest import nn_interaction, peierls_hopping
 
 
 def clean(box):

@@ -8,7 +8,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from fermicond import transport
+from fermicond.model import InterparticleInteraction, flat_pulse, rescale
 from fermicond.transport import TransportKernel
 
 from conftest import make_system
@@ -51,3 +54,23 @@ def test_kernel_builds_through_bond_observables(monkeypatch):
     kernel = TransportKernel(sys["rep"], sys["box"], sys["omega"], sys["theta"], sys["state"])
     assert calls["current_obs"] > 0 and calls["paramagnetic_partner_obs"] > 0
     assert len(kernel.atom_nu) == len(sys["kernel"].atom_nu)
+
+
+def test_driven_path_builds_only_what_it_reports(monkeypatch):
+    # drive pins model.w and transport.obs calls; the driven path reads J_p
+    # only, so it builds no diamagnetic observable
+    names = ("build_w", "current_obs", "diamagnetic_obs")
+    sys = make_system(4, "iid-uniform", seed=9)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(transport, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(transport, name, counted)
+    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
+    tr = transport.driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
+                                   InterparticleInteraction("none"), sys["state"],
+                                   a, 0.05, np.linspace(0.0, 1.2, 7), 0.05)
+    assert tr.j_p.shape == (7, 1)
+    assert calls["build_w"] > 0 and calls["current_obs"] > 0
+    assert calls["diamagnetic_obs"] == 0
