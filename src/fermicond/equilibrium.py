@@ -279,17 +279,34 @@ def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> 
 
 
 def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: float,
-           observe: Callable[[float, np.ndarray], object]) -> list:
+           observe: Callable[[float, np.ndarray], object],
+           free_after: tuple[float, SpectralData] | None = None) -> list:
     """Drive rho0 with H(t) = h_of_t(t) and return [observe(t, rho_t) for t in grid].
 
     Each gap [ta, tb] of the grid is split into the fewest equal steps no longer
     than dt, so every grid time is hit exactly; rho_t = U rho U^dagger, block
     by block over the number sectors when both U and rho are exactly zero off them.
+
+    free_after = (t1, spectral) states that H(t) is the matrix spectral
+    diagonalises for every t >= t1.  At the start s of the first gap with
+    s >= t1, rho_s is taken into that eigenbasis once, and each later grid
+    time tb gets the exact rotation rho~_mn e^{-i(E_m - E_n)(tb - s)} of that
+    one rho~, so no error builds up; gaps that start before t1 keep the CF4
+    steps.
     """
     grid = np.asarray(grid, dtype=float)
     rho = rho0
     out = [observe(grid[0], rho)]
+    free = None  # (spectral, rho_s in its eigenbasis, s)
     for ta, tb in zip(grid[:-1], grid[1:]):
+        if free is None and free_after is not None and ta >= free_after[0]:
+            free = free_after[1], free_after[1].to_eigenbasis(rho), ta
+        if free is not None:
+            sd, rho_eig, s = free
+            phase = np.exp(-1j * (tb - s) * sd.eigenvalues)
+            rho = sd.from_eigenbasis(phase[:, None] * rho_eig * phase.conj()[None, :])
+            out.append(observe(tb, rho))
+            continue
         n = max(1, int(np.ceil((tb - ta) / dt - 1e-12)))
         step = (tb - ta) / n
         for j in range(n):
@@ -305,6 +322,14 @@ def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: fl
                 rho = rho_next
         out.append(observe(tb, rho))
     return out
+
+
+def free_after_pulse(t1: float, spectral: SpectralData,
+                     h0: np.ndarray) -> tuple[float, SpectralData] | None:
+    """evolve's free_after for a drive H0 + W_t whose W_t vanishes from t1 on:
+    (t1, spectral) when spectral is the eigendecomposition of h0 itself (its
+    source hash matches), else None, which keeps CF4 throughout."""
+    return (t1, spectral) if spectral.source_hash == _hash_matrix(h0) else None
 
 
 def richardson_drive_check(state: GibbsState, h_of_t, t0: float, t: float, dt: float,

@@ -168,9 +168,11 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
         order = np.polyfit(np.log(etas), np.log(resid), 1)[0]
     else:
         order = 2.0
-    # two-point Richardson: j(eta)/eta = J_lin + O(eta), cancelled for any ratio
+    # two-point Richardson: j(eta)/eta = J_lin + O(eta), cancelled for any ratio;
+    # x and y are the scaled currents ohm.csv holds
     r = etas[1] / etas[0]
-    rich = (r * traces[etas[0]].j_p[-1] / etas[0] - traces[etas[1]].j_p[-1] / etas[1]) / (r - 1)
+    x, y = (traces[eta].j_p[-1] / eta for eta in etas[:2])
+    rich = (r * x - y) / (r - 1)
     extr_err = float(np.linalg.norm(rich - j_lin[-1]))
     files.append(write_csv(outdir / "ohm_report.csv", ["quantity", "value"],
                            [["remainder_order", order],

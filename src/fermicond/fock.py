@@ -191,6 +191,7 @@ class FockRep:
             )
         self.dim = 2 ** self.n_sites
         self.site_index = {s: i for i, s in enumerate(self.site_order)}
+        self._hops: dict = {}  # (x, y) -> read-only hop triple
 
     @classmethod
     def of_box(cls, box, cap: int = DEFAULT_SITE_CAP) -> "FockRep":
@@ -229,22 +230,32 @@ class FockRep:
         return (self._states & self._bit(self.mode(site))) != 0
 
     def hop(self, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero entries of a_x^* a_y as (rows, cols, signs).
+        """Nonzero entries of a_x^* a_y as read-only (rows, cols, signs), built
+        once per (x, y) and representation.
 
         Column s contributes where y is occupied and x is empty (or s occupies
         x when x == y); its row is s with both bits flipped and its sign is the
         Jordan-Wigner parity of the occupied modes strictly between x and y.
         """
-        i, j = self.mode(x), self.mode(y)
+        triple = self._hops.get((x, y))
+        if triple is None:
+            triple = self._hops[(x, y)] = self._build_hop(self.mode(x), self.mode(y))
+        return triple
+
+    def _build_hop(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = self._states
         if i == j:
-            cols = s[self.occupied(x)]
-            return cols, cols, np.ones(len(cols))
-        bx, by = self._bit(i), self._bit(j)
-        cols = s[((s & by) != 0) & ((s & bx) == 0)]
-        between = self._bit(min(i, j)) - 2 * self._bit(max(i, j))
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & between) & 1)
-        return cols ^ (bx | by), cols, signs
+            cols = s[(s & self._bit(i)) != 0]
+            triple = cols, cols, np.ones(len(cols))
+        else:
+            bx, by = self._bit(i), self._bit(j)
+            cols = s[((s & by) != 0) & ((s & bx) == 0)]
+            between = self._bit(min(i, j)) - 2 * self._bit(max(i, j))
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & between) & 1)
+            triple = cols ^ (bx | by), cols, signs
+        for arr in triple:
+            arr.flags.writeable = False  # shared by every caller through the memo
+        return triple
 
     def annihilator(self, site) -> OperatorMatrix:
         return OperatorMatrix(self._annihilator_mats[self.mode(site)], "odd")
@@ -253,7 +264,7 @@ class FockRep:
         return OperatorMatrix(np.eye(self.dim), "even")
 
     def zero(self) -> OperatorMatrix:
-        return OperatorMatrix(np.zeros((self.dim, self.dim)), "even")
+        return OperatorMatrix(np.zeros((self.dim, self.dim), dtype=complex), "even")
 
     def number(self, site) -> OperatorMatrix:
         return OperatorMatrix(np.diag(self.occupied(site).astype(float)), "even")

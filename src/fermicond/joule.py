@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, evolve
+    _uniform_step, evolve, free_after_pulse
 from .fock import FockRep
 from .lattice import Box
 from .model import (FlatPulse, InterparticleInteraction, build_hamiltonian, build_w,
@@ -66,7 +66,9 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
                       ip: InterparticleInteraction, state: GibbsState,
                       a_base: FlatPulse, eta: float, l: float, times,
                       dt: float, warn_margin: bool = True) -> EnergyTrace:
-    """Drive with H + W_t(eta A_l) and record the four increments on the grid."""
+    """Drive with H + W_t(eta A_l) and record the four increments on the grid;
+    after the pulse the evolution is the exact rotation in the state's
+    eigenbasis when that is the eigenbasis of H."""
     times = np.asarray(times, dtype=float)
     a_scaled = rescale(a_base, l, eta)
     if warn_margin:
@@ -92,7 +94,9 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     if eta == 0.0:
         S, P, Ip, Id = np.zeros((4, len(times)))
     else:
-        S, P, Ip, Id = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe)))
+        free = free_after_pulse(a_scaled.t1, state.spectral, h0)
+        S, P, Ip, Id = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe,
+                                                 free)))
     prov = {"eta": eta, "l": l, "d": box.dim, "beta": state.beta, "theta": theta,
             "lambda": lam}
     return EnergyTrace(times, S, P, Ip, Id, eta, l, prov)

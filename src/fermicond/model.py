@@ -10,7 +10,7 @@ the interparticle terms, and W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -216,6 +216,9 @@ class FlatPulse:
     envelope: str = "sin2"
     scale: float = 1.0
     eta: float = 1.0
+    # (x, y) -> (y - x, plateau fraction): bond geometry, built once per pulse;
+    # rescale makes a new pulse and with it an empty table
+    _segments: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=float)
@@ -255,10 +258,14 @@ class FlatPulse:
         return bool(np.all(np.abs(np.asarray(x, dtype=float) / self.scale)
                            <= self.halfwidth + 1e-12))
 
+    def amplitude(self, t: float) -> np.ndarray:
+        """eta env(t) w, the value of A on the plateau."""
+        return self.eta * (self.env(t) * self.w)
+
     def __call__(self, t: float, x) -> np.ndarray:
         if self.is_off(t) or not self._inside(x):
             return np.zeros(self.dim)
-        return self.eta * (self.env(t) * self.w)
+        return self.amplitude(t)
 
     def electric(self, t: float, x) -> np.ndarray:
         if self.is_off(t) or not self._inside(x):
@@ -287,6 +294,16 @@ class FlatPulse:
                 lo, hi = max(lo, a), min(hi, b)
         return max(hi - lo, 0.0)
 
+    def segment(self, x, y) -> tuple[np.ndarray, float]:
+        """(y - x, fraction of the bond [x, y] on the plateau), computed once
+        per bond orientation and pulse; y - x is read-only."""
+        seg = self._segments.get((x, y))
+        if seg is None:
+            dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+            dx.flags.writeable = False
+            seg = self._segments[(x, y)] = dx, self._plateau_fraction(x, y)
+        return seg
+
     def bond_weight(self, x, y) -> float:
         """(w . (y - x)) times the fraction of the bond on the plateau: the
         spatial factor of the bond's field, exactly antisymmetric."""
@@ -310,8 +327,7 @@ def bond_phase(a: FlatPulse, t: float, x: Site, y: Site) -> float:
     if a.is_off(t):
         return 0.0
     dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    phi = float(np.dot(a.eta * (a.env(t) * a.w), dx))
-    return phi * a._plateau_fraction(x, y)
+    return float(np.dot(a.amplitude(t), dx)) * a._plateau_fraction(x, y)
 
 
 def flat_pulse(dim: int, w, t0: float = 0.0, t1: float = 1.0,
@@ -385,15 +401,17 @@ def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Si
 def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
                    pair: Callable[[tuple, complex], tuple[complex, complex]]) -> np.ndarray:
     """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(b, c_b), scattered
-    from the hop triples; distinct bonds have disjoint supports, so the sum
-    holds exactly the entries of the single-bond matrices."""
-    m = np.zeros((rep.dim, rep.dim), dtype=complex)
+    from the hop triples into the flat matrix (one index array per scatter);
+    distinct bonds have disjoint supports, so the sum holds exactly the
+    entries of the single-bond matrices."""
+    n = rep.dim
+    m = np.zeros(n * n, dtype=complex)
     for x1, x2 in bonds:
         f, g = pair((x1, x2), _hopping_entry(box, omega, theta, x1, x2))
         rows, cols, signs = rep.hop(x1, x2)
-        m[rows, cols] += f * signs
-        m[cols, rows] += g * signs
-    return m
+        m[rows * n + cols] += f * signs
+        m[cols * n + rows] += g * signs
+    return m.reshape(n, n)
 
 
 def _quadratic(rep: FockRep, box: Box, one_particle: np.ndarray) -> np.ndarray:
@@ -436,9 +454,11 @@ def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     (c e^{i phi} - c) a_x* a_y + h.c. with c = <e_x, Delta e_y>."""
     if a.is_off(t):
         return rep.zero()
+    amp = a.amplitude(t)
 
     def pair(bond, c):
-        cp = c * np.exp(1j * bond_phase(a, t, *bond))
+        dx, frac = a.segment(*bond)  # memoised on the pulse, as hop is on rep
+        cp = c * np.exp(1j * (float(np.dot(amp, dx)) * frac))  # = bond_phase(a, t, *bond)
         return cp - c, np.conj(cp) - np.conj(c)
 
     return OperatorMatrix(_scatter_bonds(rep, box, box.bonds, omega, theta, pair), "even")

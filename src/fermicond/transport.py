@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, duhamel_pair_eig, evolve
+    _uniform_step, duhamel_pair_eig, evolve, free_after_pulse
 from .fock import FockRep, OperatorMatrix
 from .lattice import Box, DisorderSample, Site, shift
 from .model import FlatPulse, NotABondError, _scatter_bonds, bond_phase, \
@@ -288,7 +288,9 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
                     a_scaled: FlatPulse, eta: float, times,
                     dt: float) -> CurrentDensityTrace:
-    """J_p along the driven evolution generated by H + W_t(eta * A_l)."""
+    """J_p along the driven evolution generated by H + W_t(eta * A_l); after
+    the pulse the evolution is the exact rotation in the state's eigenbasis
+    when that is the eigenbasis of H."""
     times = np.asarray(times, dtype=float)
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
     vol = len(box)
@@ -308,7 +310,8 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
         return [np.einsum("ij,ji->", rho, op).real / vol - jt
                 for op, jt in zip(para_ops, j_th)]
 
-    j_p = np.array(evolve(state.density, h_of_t, times, dt, observe))
+    j_p = np.array(evolve(state.density, h_of_t, times, dt, observe,
+                          free_after_pulse(a_scaled.t1, state.spectral, h0)))
     return CurrentDensityTrace(times, j_th, j_p, eta)
 
 

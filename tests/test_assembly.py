@@ -128,6 +128,35 @@ def test_bit_assembly_equals_dense_strings(case):
     assert np.array_equal(rep.parity_operator().mat, dense_parity(rep))
 
 
+def test_w_memoised_bond_data_never_stale():
+    # the hop triples live on each FockRep and the bond geometry on each pulse:
+    # builds interleaved over three representations, two dilations l whose
+    # plateau edges cut different bonds, and several times each match the
+    # string oracle of Delta^A - Delta exactly
+    chain, rect = Box.chain(6), Box.rect((2, 3))
+    permuted = tuple(chain.sites[k] for k in (3, 0, 5, 1, 4, 2))
+    theta = 0.4
+    systems = []
+    for box, order, seed in ((chain, chain.sites, 11), (chain, permuted, 12),
+                             (rect, rect.sites, 13)):
+        rep = FockRep(order)
+        omega = DisorderDistribution("iid-uniform", seed).sample(box)
+        dense = functools.cache(lambda x, y, rep=rep: dense_bilinear(rep, x, y))
+        systems.append((box, rep, omega, dense, build_hopping(box, omega, theta)))
+    pulses = {dim: [rescale(flat_pulse(dim, np.linspace(1.0, 0.5, dim), 0.0, 1.0,
+                                       halfwidth=0.5), l, 0.3) for l in (1.5, 3.0)]
+              for dim in (1, 2)}
+    for box in (chain, rect):
+        fractions = [[a._plateau_fraction(*b) for b in box.bonds] for a in pulses[box.dim]]
+        assert fractions[0] != fractions[1]
+    for t in (0.11, 0.37, 0.5, 0.93):
+        for box, rep, omega, dense, hop in systems:
+            for a in pulses[box.dim]:
+                diff = peierls_hopping(hop, box, a, t) - hop
+                assert np.array_equal(build_w(rep, box, omega, theta, a, t).mat,
+                                      dense_quadratic(dense, rep.dim, box, diff))
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_bond_sums_equal_single_bond_sums(case):
     # distinct bonds have disjoint supports: the scattered sum holds exactly the

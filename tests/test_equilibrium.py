@@ -189,6 +189,79 @@ def test_evolve_hits_nonuniform_grid(rng):
         assert np.linalg.norm(rho - _exact(h, t, rho0), 2) <= 1e-10
 
 
+def test_evolve_free_after_matches_exact_on_nonuniform_grid(rng):
+    # constant H: the CF4 gaps before 0.3 and the rotations of the one
+    # eigenbasis rho from 0.37 on both reproduce e^{-itH} rho0 e^{itH}
+    sys = make_system(4, "iid-uniform", seed=21)
+    h = sys["h"].mat + random_local(rng, sys["rep"], hermitian=True).mat
+    rho0 = sys["state"].density
+    grid = [0.0, 0.013, 0.1, 0.37, 0.5, 0.83, 1.2]
+    out = evolve(rho0, lambda t: h, grid, 0.05, lambda t, rho: (t, rho),
+                 free_after=(0.3, SpectralData.from_hamiltonian(h)))
+    assert [t for t, _ in out] == grid
+    for t, rho in out:
+        assert np.linalg.norm(rho - _exact(h, t, rho0), 2) <= 1e-10
+
+
+def _tail_drive(ip=None, seed=22):
+    """6-site density-density chain, a pulse on [0, 1] and a grid past it."""
+    sys = make_system(6, "iid-uniform", seed=seed, theta=0.5, lam=1.0,
+                      ip=ip or nn_interaction(1.0))
+    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    return sys, a_base, np.linspace(0.0, 1.5, 31)
+
+
+def _cf4_only(monkeypatch):
+    from fermicond import joule, transport
+    for mod in (joule, transport):
+        monkeypatch.setattr(mod, "free_after_pulse", lambda *args: None)
+
+
+def _driven(sys, a_base, times, state=None):
+    from fermicond.joule import energy_increments
+    from fermicond.transport import driven_currents
+    state = state or sys["state"]
+    args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], sys["lam"], sys["ip"], state)
+    j_p = driven_currents(*args, rescale(a_base, 6.0, 0.25), 0.25, times, 0.04).j_p
+    tr = energy_increments(*args, a_base, 0.25, 6.0, times, 0.04, warn_margin=False)
+    return j_p, tr
+
+
+def test_exact_tail_matches_cf4_after_the_pulse(monkeypatch):
+    # W_t = 0 at both CF4 nodes of a step after t1, so the CF4 product is
+    # exactly e^{-i step H}: the two routes differ by roundoff only
+    sys, a_base, times = _tail_drive()
+    j_p, tr = _driven(sys, a_base, times)
+    _cf4_only(monkeypatch)
+    j_ref, ref = _driven(sys, a_base, times)
+    for got, want in [(j_p, j_ref)] + [(getattr(tr, k), getattr(ref, k))
+                                       for k in ("S", "P", "Ip", "Id")]:
+        assert np.abs(want).max() > 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_heat_is_flat_after_the_pulse():
+    # H0 conserves energy: after t1, S(t) stays constant to roundoff
+    sys, a_base, times = _tail_drive()
+    _, tr = _driven(sys, a_base, times)
+    after = tr.S[times >= a_base.t1]
+    assert len(after) > 5 and after[0] > 0
+    assert after.max() - after.min() <= 1e-12 * abs(after[0])
+
+
+def test_exact_tail_needs_the_spectrum_of_h(monkeypatch):
+    # a state diagonalised from another H is never rotated with its spectrum:
+    # the run is CF4 throughout, bit for bit
+    sys, a_base, times = _tail_drive()
+    other = GibbsState.of(SpectralData.from_hamiltonian(1.01 * sys["h"].mat), 1.0)
+    j_p, tr = _driven(sys, a_base, times, other)
+    _cf4_only(monkeypatch)
+    j_ref, ref = _driven(sys, a_base, times, other)
+    assert np.array_equal(j_p, j_ref)
+    for k in ("S", "P", "Ip", "Id"):
+        assert np.array_equal(getattr(tr, k), getattr(ref, k))
+
+
 def test_propagator_composition():
     sys = make_system(3, "iid-uniform", seed=14)
     h0 = sys["h"].mat

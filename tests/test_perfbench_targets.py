@@ -74,3 +74,30 @@ def test_driven_path_builds_only_what_it_reports(monkeypatch):
     assert tr.j_p.shape == (7, 1)
     assert calls["build_w"] > 0 and calls["current_obs"] > 0
     assert calls["diamagnetic_obs"] == 0
+
+
+def test_driven_path_steps_only_inside_the_pulse(monkeypatch):
+    # drive pins equilibrium.step and model.w calls: CF4 steps are taken only
+    # in the gaps that start before t1, and W_t is still built once per
+    # generator evaluation there
+    from fermicond import equilibrium
+    sys = make_system(4, "iid-uniform", seed=9)
+    calls = {"step_unitary": 0, "build_w": 0}
+
+    def counted(mod, name):
+        def wrapped(*args, _fn=getattr(mod, name)):
+            calls[name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, wrapped)
+
+    counted(equilibrium, "step_unitary")
+    counted(transport, "build_w")
+    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
+    times, dt = np.linspace(0.0, 1.6, 9), 0.07  # gaps of 0.2: 3 steps each
+    transport.driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
+                              InterparticleInteraction("none"), sys["state"],
+                              a, 0.05, times, dt)
+    inside = sum(int(np.ceil((tb - ta) / dt - 1e-12))
+                 for ta, tb in zip(times[:-1], times[1:]) if ta < a.t1)
+    assert inside == 15 and calls["step_unitary"] == inside
+    assert calls["build_w"] == 2 * inside
