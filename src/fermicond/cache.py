@@ -7,6 +7,7 @@ guards against corruption.  FERMICOND_CACHE_DIR overrides the location.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -48,13 +49,13 @@ class SpectralCache:
         path = self._path(model_hash, seed)
         if not path.exists():
             return None
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        raw = path.read_bytes()  # read once: the entry returned is the entry verified
         sidecar = path.with_suffix(".sha256")
         if not sidecar.exists():
             raise CacheCorruptionError(f"{path.name}: missing checksum sidecar")
-        if sidecar.read_text().strip() != digest:
+        if sidecar.read_text().strip() != hashlib.sha256(raw).hexdigest():
             raise CacheCorruptionError(f"{path.name}: checksum mismatch")
-        data = np.load(path)
+        data = np.load(io.BytesIO(raw))
         return SpectralData(data["eigenvalues"], data["eigenvectors"],
                             str(data["source_hash"]))
 

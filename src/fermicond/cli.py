@@ -69,16 +69,19 @@ def main(argv=None) -> int:
     # run
     try:
         cfg = ExperimentConfig.load(args.config)
+        if args.seed is not None:
+            cfg.disorder.seed = args.seed
+        if args.workers is not None:
+            cfg.run.workers = args.workers
+        errors = cfg.validate()  # the overrides pass the same checks as the file
+        if errors:
+            raise ConfigError(errors)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_BAD_CONFIG
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if args.seed is not None:
-        cfg.disorder.seed = args.seed
-    if args.workers is not None:
-        cfg.run.workers = args.workers
     outdir = args.out or cfg.run.out_dir
     try:
         manifest = run_experiment(args.experiment, cfg, outdir)

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .fock import DEFAULT_SITE_CAP
 from .lattice import DISORDER_KINDS, Box, LatticeSpec
-from .model import DecayFunction, InterparticleInteraction, flat_pulse
+from .model import DecayFunction, InterparticleInteraction, box_extent, flat_pulse
 
 FIELD_SHAPES = ("flat-sin2", "flat-gauss")
 
@@ -177,6 +179,8 @@ class ExperimentConfig:
             e.append(f"model.decay_form: unknown form {m.decay_form!r}")
         if m.decay_epsilon <= 0:
             e.append("model.decay_epsilon: must be > 0")
+        if not e:  # the box is well defined only for a valid model block
+            e.extend(self._box_errors())
         if f.shape not in FIELD_SHAPES:
             e.append(f"field.shape: unknown shape {f.shape!r}; choose from {FIELD_SHAPES}")
         if not f.t1 > f.t0:
@@ -197,6 +201,8 @@ class ExperimentConfig:
             e.append("field.scale: must be > 0")
         if dis.kind not in DISORDER_KINDS:
             e.append(f"disorder.kind: unknown kind {dis.kind!r}; choose from {DISORDER_KINDS}")
+        if dis.seed < 0:
+            e.append("disorder.seed: must be >= 0")
         if dis.n_samples < 1:
             e.append("disorder.n_samples: must be >= 1")
         if r.t_max <= 0:
@@ -208,6 +214,26 @@ class ExperimentConfig:
         if r.workers < 1:
             e.append("run.workers: must be >= 1")
         return e
+
+    def _box_errors(self) -> list[str]:
+        """Site cap and interaction range, checked before any Fock space is
+        allocated; the site count is taken without enumerating the box."""
+        m = self.model
+        if m.l is not None:
+            key, n = "model.l", (2 * m.l + 1) ** m.d
+        elif m.shape is not None:
+            key, n = "model.shape", math.prod(m.shape)
+        else:
+            key, n = "model.sites", m.sites
+        if n > DEFAULT_SITE_CAP:
+            return [f"{key}: the box has {n} sites, above the cap of {DEFAULT_SITE_CAP}"]
+        try:
+            box = m.box()
+        except ConfigError as exc:
+            return exc.errors
+        if m.interaction == "density-density" and m.range_ > box_extent(box):
+            return [f"model.range: {m.range_} exceeds the box extent {box_extent(box)}"]
+        return []
 
     def canonical(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import (OperatorMatrix, block_layout, commutator, number_sectors, opnorm_mat,
+from .fock import (block_layout, commutator, is_even, number_sectors, opnorm_mat,
                    sector_blocks)
 
 CONDITIONING_LIMIT = 1e12
@@ -74,20 +74,18 @@ class SpectralData:
     source_hash: str
 
     @classmethod
-    def from_hamiltonian(cls, h: OperatorMatrix | np.ndarray) -> "SpectralData":
-        mat = h.mat if isinstance(h, OperatorMatrix) else np.asarray(h)
+    def from_hamiltonian(cls, h: np.ndarray) -> "SpectralData":
         # Frobenius defect against the largest entry: never looser than the
         # spectral-norm test (||D||_2 <= ||D||_F, max|H_ij| <= ||H||_2), no SVD
-        herm_defect = float(np.linalg.norm(mat - mat.conj().T))
-        if herm_defect > 1e-10 * max(1.0, float(np.abs(mat).max(initial=0.0))):
+        herm_defect = float(np.linalg.norm(h - h.conj().T))
+        if herm_defect > 1e-10 * max(1.0, float(np.abs(h).max(initial=0.0))):
             raise DiagonalizationError(f"matrix not self-adjoint (defect {herm_defect})")
-        grids = sector_blocks(mat)
+        grids = sector_blocks(h)
         try:
-            evals, evecs = (np.linalg.eigh(mat) if grids is None
-                            else _sector_eigh(mat, grids))
+            evals, evecs = np.linalg.eigh(h) if grids is None else _sector_eigh(h, grids)
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
-        return cls(evals, evecs, _hash_matrix(mat))
+        return cls(evals, evecs, _hash_matrix(h))
 
     @property
     def dim(self) -> int:
@@ -159,20 +157,18 @@ class GibbsState:
     def density(self) -> np.ndarray:
         return self.spectral.from_eigenbasis(np.diag(self.weights.astype(complex)))
 
-    def expect(self, b: OperatorMatrix | np.ndarray) -> complex:
-        mat = b.mat if isinstance(b, OperatorMatrix) else np.asarray(b)
-        bt = self.spectral.to_eigenbasis(mat)
-        return complex(np.sum(self.weights * np.diag(bt)))
+    def expect(self, b: np.ndarray) -> complex:
+        return self.expect_eig(self.spectral.to_eigenbasis(b))
 
     def expect_eig(self, bt: np.ndarray) -> complex:
         """Expectation of a matrix already expressed in the eigenbasis."""
         return complex(np.sum(self.weights * np.diag(bt)))
 
-    def kms_defect(self, b1: OperatorMatrix, b2: OperatorMatrix) -> float:
+    def kms_defect(self, b1: np.ndarray, b2: np.ndarray) -> float:
         """|rho(B1 tau_{i beta}(B2)) - rho(B2 B1)|, the two sides taken through
         different exponential routes in the eigenbasis."""
         sd = self.spectral
-        b1t, b2t = sd.to_eigenbasis(b1.mat), sd.to_eigenbasis(b2.mat)
+        b1t, b2t = sd.to_eigenbasis(b1), sd.to_eigenbasis(b2)
         e, p = sd.eigenvalues, self.weights
         # lhs multiplies the Boltzmann weight by the analytic continuation factor
         # e^{-beta(E_n - E_m)} entry-wise; rhs uses the weight vector directly.
@@ -182,19 +178,18 @@ class GibbsState:
         return abs(complex(lhs - rhs))
 
 
-def gibbs(h: OperatorMatrix | np.ndarray, beta: float) -> GibbsState:
+def gibbs(h: np.ndarray, beta: float) -> GibbsState:
     return GibbsState.of(SpectralData.from_hamiltonian(h), beta)
 
 
-def heisenberg(b: OperatorMatrix, t: float, spectral: SpectralData) -> OperatorMatrix:
+def heisenberg(b: np.ndarray, t: float, spectral: SpectralData) -> np.ndarray:
     """tau_t(B) = e^{itH} B e^{-itH}."""
-    bt = spectral.to_eigenbasis(b.mat)
+    bt = spectral.to_eigenbasis(b)
     phase = np.exp(1j * t * spectral.eigenvalues)
-    evolved = phase[:, None] * bt * phase.conj()[None, :]
-    return OperatorMatrix(spectral.from_eigenbasis(evolved), b.parity)
+    return spectral.from_eigenbasis(phase[:, None] * bt * phase.conj()[None, :])
 
 
-def imaginary_time(b: OperatorMatrix, alpha: float, spectral: SpectralData) -> OperatorMatrix:
+def imaginary_time(b: np.ndarray, alpha: float, spectral: SpectralData) -> np.ndarray:
     """tau_{i alpha}(B) = e^{-alpha H} B e^{alpha H} with spectrum-centered shift."""
     e = spectral.eigenvalues
     c = 0.5 * (e.max() + e.min())
@@ -203,20 +198,19 @@ def imaginary_time(b: OperatorMatrix, alpha: float, spectral: SpectralData) -> O
         warnings.warn(
             f"imaginary-time factor e^(alpha dE/2) = {growth:.2e} exceeds 1e12",
             ConditioningWarning, stacklevel=2)
-    bt = spectral.to_eigenbasis(b.mat)
+    bt = spectral.to_eigenbasis(b)
     wl = np.exp(-alpha * (e - c))
-    evolved = wl[:, None] * bt * (1.0 / wl)[None, :]
-    return OperatorMatrix(spectral.from_eigenbasis(evolved), b.parity)
+    return spectral.from_eigenbasis(wl[:, None] * bt * (1.0 / wl)[None, :])
 
 
-def duhamel(b1: OperatorMatrix, b2: OperatorMatrix, state: GibbsState) -> complex:
+def duhamel(b1: np.ndarray, b2: np.ndarray, state: GibbsState) -> complex:
     """(B1, B2)_~ = int_0^beta rho(B1^* tau_{i alpha}(B2)) d alpha, in closed form.
 
     Weight for matrix elements (m, n): (p_m - p_n)/(Z-normalized)/(E_n - E_m),
     with the degenerate limit beta * p_m.
     """
     sd = state.spectral
-    return duhamel_pair_eig(sd.to_eigenbasis(b1.mat), sd.to_eigenbasis(b2.mat), state)
+    return duhamel_pair_eig(sd.to_eigenbasis(b1), sd.to_eigenbasis(b2), state)
 
 
 def duhamel_kernel(state: GibbsState) -> np.ndarray:
@@ -416,7 +410,7 @@ def work_functional(state: GibbsState, a_of_t: Callable[[float], np.ndarray],
 # Lieb-Robinson empirical check
 # ---------------------------------------------------------------------------
 
-def lieb_robinson_check(b1: OperatorMatrix, supp1, b2: OperatorMatrix, supp2,
+def lieb_robinson_check(b1: np.ndarray, supp1, b2: np.ndarray, supp2,
                         t: float, spectral: SpectralData, decay, conv_const: float,
                         interaction_sup: float,
                         norms: tuple[float, float] | None = None) -> dict:
@@ -429,13 +423,12 @@ def lieb_robinson_check(b1: OperatorMatrix, supp1, b2: OperatorMatrix, supp2,
     s1, s2 = set(supp1), set(supp2)
     if s1 & s2:
         raise OverlappingSupportsError(f"supports intersect: {s1 & s2}")
-    if b1.parity != "even":
+    if not is_even(b1):
         raise ValueError("B1 must be even for the Lieb-Robinson bound")
-    evolved = heisenberg(b1, t, spectral)
-    lhs = opnorm_mat(commutator(evolved, b2).mat)
+    lhs = opnorm_mat(commutator(heisenberg(b1, t, spectral), b2))
     geom = sum(decay(np.linalg.norm(np.array(x) - np.array(y)))
                for x in s1 for y in s2)
-    n1, n2 = norms if norms is not None else (opnorm_mat(b1.mat), opnorm_mat(b2.mat))
+    n1, n2 = norms if norms is not None else (opnorm_mat(b1), opnorm_mat(b2))
     with np.errstate(over="ignore"):
         rhs = (2.0 / conv_const) * n1 * n2 \
             * np.expm1(2 * conv_const * abs(t) * interaction_sup) * geom

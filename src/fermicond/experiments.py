@@ -24,8 +24,7 @@ from .config import ExperimentConfig
 from .csvout import write_csv
 from .equilibrium import (GibbsState, SpectralData, _hash_matrix, lieb_robinson_check,
                           work_functional)
-from .fock import (FockRep, OperatorMatrix, anticommutator, bilinear, build_annihilators,
-                   opnorm, opnorm_mat)
+from .fock import FockRep, anticommutator, bilinear, opnorm_mat
 from .joule import energy_increments, joule_integrand_x
 from .lattice import Box, DisorderDistribution, shift
 from .levy import (AnisotropyError, char_exponent, from_conductivity, sample_paths,
@@ -71,7 +70,7 @@ def build_system(cfg: ExperimentConfig, sample_index: int = 0,
             warnings.warn(f"{exc}; evicting the entry and recomputing",
                           CacheCorruptionWarning, stacklevel=2)
             cache.evict(key, dist.seed)
-    if spectral is None or spectral.source_hash != _hash_matrix(h.mat):
+    if spectral is None or spectral.source_hash != _hash_matrix(h):
         spectral = SpectralData.from_hamiltonian(h)
         if cache is not None:
             cache.put(key, dist.seed, spectral)
@@ -368,12 +367,12 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
     worst = 0.0
     for n in DEFAULT_BATTERY["sites"]:
         rep = FockRep.of_box(Box.chain(n))
-        ann = build_annihilators(rep)
+        ann = [rep.annihilator(s) for s in rep.site_order]
         for i in range(len(ann)):
             for j in range(i, len(ann)):
-                worst = max(worst, opnorm(anticommutator(ann[i], ann[j])))
+                worst = max(worst, opnorm_mat(anticommutator(ann[i], ann[j])))
                 delta = np.eye(rep.dim) * (1.0 if i == j else 0.0)
-                worst = max(worst, opnorm_mat(anticommutator(ann[i], ann[j].H).mat - delta))
+                worst = max(worst, opnorm_mat(anticommutator(ann[i], ann[j].conj().T) - delta))
     check("car-anticommutators", worst <= 1e-12, f"defect {worst:.2e}")
 
     t_grid = cfg.run.times()
@@ -386,7 +385,7 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
             b1 = _random_local(rng, sysd["rep"])
             b2 = _random_local(rng, sysd["rep"])
             worst_kms = max(worst_kms, sysd["state"].kms_defect(b1, b2)
-                            / (opnorm(b1) * opnorm(b2)))
+                            / (opnorm_mat(b1) * opnorm_mat(b2)))
         worst_zero = max(worst_zero, float(np.abs(k.xi_p(0.0)).max()))
         worst_sym = max(worst_sym, float(np.abs(
             k.xi_p(-t_grid) - np.transpose(k.xi_p(t_grid), (0, 2, 1))).max()))
@@ -397,12 +396,12 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
             levy_khintchine(meas, t_grid) - k.xi_plus(t_grid)).max()))
         if sysd["n"] == 4:  # work functional on the small members
             b = _random_local(rng, sysd["rep"])
-            b = 0.5 * (b + b.H)
+            b = 0.5 * (b + b.conj().T)
 
             def a_of_t(s, b=b):
                 if s <= 0.0 or s >= 1.0:
-                    return np.zeros_like(b.mat)
-                return float(np.sin(np.pi * s) ** 2) * b.mat
+                    return np.zeros_like(b)
+                return float(np.sin(np.pi * s) ** 2) * b
 
             worst_work = min(worst_work,
                              work_functional(sysd["state"], a_of_t, 0.0, 1.0, 0.02))
@@ -440,9 +439,8 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
 def _random_local(rng, rep: FockRep):
     x, y = (rep.site_order[k] for k in rng.integers(0, rep.n_sites, size=2))
     c1, c2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    m = (bilinear(rep, x, y, c1) + bilinear(rep, y, x, c2)).mat
-    m = m + m.conj().T @ m * 0.1
-    return OperatorMatrix(m)
+    m = bilinear(rep, x, y, c1) + bilinear(rep, y, x, c2)
+    return m + m.conj().T @ m * 0.1
 
 
 def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
@@ -465,9 +463,9 @@ def run_lieb_robinson(cfg: ExperimentConfig, outdir: Path):
             continue
         if b1 is None:
             b1 = current_obs(sys0.rep, box, [(x1, x0)], sys0.omega, cfg.model.theta)
-            norm1 = opnorm(b1)
+            norm1 = opnorm_mat(b1)
         b2 = current_obs(sys0.rep, box, [(y1, y0)], sys0.omega, cfg.model.theta)
-        norms = (norm1, opnorm(b2))
+        norms = (norm1, opnorm_mat(b2))
         for t in (0.5, 1.0, 2.0):
             res = lieb_robinson_check(b1, (x0, x1), b2, (y0, y1), t,
                                       sys0.spectral, f, conv, dsup, norms)

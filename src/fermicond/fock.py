@@ -9,11 +9,13 @@ fixes all a_x is then entry-wise complex conjugation in this basis.
 Even operators are assembled from the occupation bits of the basis index
 instead: a_x^* a_y is a signed partial permutation (FockRep.hop) and number
 operators are diagonals.  The string matrices stay as the algebra's oracle.
+
+Every many-body operator is a plain dim x dim complex ndarray.  Fermionic
+parity is not carried along as a label; is_even reads it off the entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -33,85 +35,22 @@ class UnknownSiteError(KeyError):
     pass
 
 
-class ShapeMismatchError(ValueError):
-    pass
-
-
-def _combine_parity(p1: str, p2: str) -> str:
-    if "mixed" in (p1, p2):
-        return "mixed"
-    return "even" if p1 == p2 else "odd"
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix on the Fock space, tagged with fermionic parity."""
-
-    mat: np.ndarray
-    parity: str = "mixed"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ShapeMismatchError(f"expected square matrix, got {self.mat.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def _check(self, other: "OperatorMatrix"):
-        if self.dim != other.dim:
-            raise ShapeMismatchError(f"{self.dim} != {other.dim}")
-
-    def __add__(self, other):
-        self._check(other)
-        par = self.parity if self.parity == other.parity else "mixed"
-        return OperatorMatrix(self.mat + other.mat, par)
-
-    def __sub__(self, other):
-        self._check(other)
-        par = self.parity if self.parity == other.parity else "mixed"
-        return OperatorMatrix(self.mat - other.mat, par)
-
-    def __neg__(self):
-        return OperatorMatrix(-self.mat, self.parity)
-
-    def __mul__(self, c):
-        return OperatorMatrix(c * self.mat, self.parity)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        self._check(other)
-        return OperatorMatrix(self.mat @ other.mat, _combine_parity(self.parity, other.parity))
-
-    @property
-    def H(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.parity)
-
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        return opnorm_mat(self.mat - self.mat.conj().T) <= tol * max(1.0, opnorm_mat(self.mat))
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B], block by block over the number sectors when both conserve N."""
-    if a.dim != b.dim:
-        raise ShapeMismatchError(f"{a.dim} != {b.dim}")
-    par = _combine_parity(a.parity, b.parity)
-    grids = sector_blocks(a.mat)
-    if grids is None or sector_blocks(b.mat) is None:
-        return OperatorMatrix(a.mat @ b.mat - b.mat @ a.mat, par)
-    out = np.zeros((a.dim, a.dim), dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"operator shapes differ: {a.shape} != {b.shape}")
+    grids = sector_blocks(a)
+    if grids is None or sector_blocks(b) is None:
+        return a @ b - b @ a
+    out = np.zeros(a.shape, dtype=complex)
     for ix in grids:
-        ak, bk = a.mat[ix], b.mat[ix]
+        ak, bk = a[ix], b[ix]
         out[ix] = ak @ bk - bk @ ak
-    return OperatorMatrix(out, par)
+    return out
 
 
-def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    if a.dim != b.dim:
-        raise ShapeMismatchError(f"{a.dim} != {b.dim}")
-    return OperatorMatrix(a.mat @ b.mat + b.mat @ a.mat, _combine_parity(a.parity, b.parity))
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
 
 
 def opnorm_mat(m: np.ndarray) -> float:
@@ -123,10 +62,6 @@ def opnorm_mat(m: np.ndarray) -> float:
     if grids is None:
         return float(np.linalg.norm(m, 2))
     return max(float(np.linalg.norm(m[ix], 2)) for ix in grids)
-
-
-def opnorm(a: OperatorMatrix) -> float:
-    return opnorm_mat(a.mat)
 
 
 @cache
@@ -179,6 +114,14 @@ def sector_blocks(m: np.ndarray) -> tuple | None:
     return layout[0]
 
 
+def is_even(m: np.ndarray) -> bool:
+    """True if m is exactly zero between basis states of opposite number
+    parity, i.e. commutes with (-1)^N; read off the entries, with no matrix
+    product and no SVD."""
+    odd = np.bitwise_count(np.arange(len(m))) & 1
+    return not m[odd[:, None] != odd[None, :]].any()
+
+
 class FockRep:
     """Concrete CAR representation for an ordered tuple of sites."""
 
@@ -215,7 +158,9 @@ class FockRep:
                     m = np.kron(m, _SMINUS)
                 else:
                     m = np.kron(m, _I2)
-            ops.append(m.astype(complex))
+            op = m.astype(complex)
+            op.flags.writeable = False  # handed out bare by annihilator()
+            ops.append(op)
         return ops
 
     @cached_property
@@ -257,29 +202,28 @@ class FockRep:
             arr.flags.writeable = False  # shared by every caller through the memo
         return triple
 
-    def annihilator(self, site) -> OperatorMatrix:
-        return OperatorMatrix(self._annihilator_mats[self.mode(site)], "odd")
+    def annihilator(self, site) -> np.ndarray:
+        return self._annihilator_mats[self.mode(site)]
 
-    def identity(self) -> OperatorMatrix:
-        return OperatorMatrix(np.eye(self.dim), "even")
+    def identity(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)
 
-    def zero(self) -> OperatorMatrix:
-        return OperatorMatrix(np.zeros((self.dim, self.dim), dtype=complex), "even")
+    def zero(self) -> np.ndarray:
+        return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def number(self, site) -> OperatorMatrix:
-        return OperatorMatrix(np.diag(self.occupied(site).astype(float)), "even")
+    def number(self, site) -> np.ndarray:
+        return np.diag(self.occupied(site).astype(complex))
 
-    def total_number(self) -> OperatorMatrix:
-        return OperatorMatrix(np.diag(np.bitwise_count(self._states).astype(float)), "even")
+    def total_number(self) -> np.ndarray:
+        return np.diag(np.bitwise_count(self._states).astype(complex))
 
-    def parity_operator(self) -> OperatorMatrix:
+    def parity_operator(self) -> np.ndarray:
         """(-1)^N as a diagonal matrix."""
-        return OperatorMatrix(np.diag(1.0 - 2.0 * (np.bitwise_count(self._states) & 1)),
-                              "even")
+        return np.diag((1.0 - 2.0 * (np.bitwise_count(self._states) & 1)).astype(complex))
 
     def parity_of(self, mat: np.ndarray, tol: float = 1e-12) -> str:
         """Classify a matrix as even/odd/mixed against (-1)^N."""
-        p = self.parity_operator().mat
+        p = self.parity_operator()
         scale = max(1.0, opnorm_mat(mat))
         comm = opnorm_mat(mat @ p - p @ mat)
         anti = opnorm_mat(mat @ p + p @ mat)
@@ -290,18 +234,14 @@ class FockRep:
         return "mixed"
 
 
-def build_annihilators(rep: FockRep) -> list[OperatorMatrix]:
-    return [rep.annihilator(s) for s in rep.site_order]
-
-
-def bilinear(rep: FockRep, x, y, c: complex) -> OperatorMatrix:
+def bilinear(rep: FockRep, x, y, c: complex) -> np.ndarray:
     """c * a_x^dagger a_y (even for every coefficient)."""
     rows, cols, signs = rep.hop(x, y)
     m = np.zeros((rep.dim, rep.dim), dtype=complex)
     m[rows, cols] = c * signs
-    return OperatorMatrix(m, "even")
+    return m
 
 
-def time_reversal(rep: FockRep, a: OperatorMatrix) -> OperatorMatrix:
+def time_reversal(rep: FockRep, a: np.ndarray) -> np.ndarray:
     """Antilinear morphism with T(a_x) = a_x: conjugation in the occupation basis."""
-    return OperatorMatrix(a.mat.conj(), a.parity)
+    return a.conj()

@@ -73,11 +73,11 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     a_scaled = rescale(a_base, l, eta)
     if warn_margin:
         check_field_margin(a_scaled, box, ip)
-    h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
+    h0 = build_hamiltonian(rep, box, omega, theta, lam, ip)
     e_h0 = state.expect(h0).real
 
     def w_mat(t):
-        return build_w(rep, box, omega, theta, a_scaled, t).mat
+        return build_w(rep, box, omega, theta, a_scaled, t)
 
     def h_of_t(t):
         return h0 + w_mat(t)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import FockRep, OperatorMatrix
+from .fock import FockRep
 from .lattice import Box, DisorderSample, Site
 
 
@@ -424,13 +424,16 @@ def _quadratic(rep: FockRep, box: Box, one_particle: np.ndarray) -> np.ndarray:
     return h
 
 
+def box_extent(box: Box) -> int:
+    """2 max |x_i| + 1 over the box: the longest density-density range it admits."""
+    return 2 * max(abs(c) for s in box.sites for c in s) + 1
+
+
 def interaction_matrix(rep: FockRep, box: Box, ip: InterparticleInteraction) -> np.ndarray:
     """Sum of the interparticle terms (diagonal in the occupation basis)."""
-    if ip.kind == "density-density":
-        l_box = max(abs(c) for s in box.sites for c in s)
-        if ip.range_ > 2 * l_box + 1:
-            raise RangeExceedsBoxError(
-                f"interaction range {ip.range_} exceeds box extent {2 * l_box + 1}")
+    if ip.kind == "density-density" and ip.range_ > box_extent(box):
+        raise RangeExceedsBoxError(
+            f"interaction range {ip.range_} exceeds box extent {box_extent(box)}")
     diag = np.zeros(rep.dim, dtype=complex)
     for supp, c in ip.pair_terms(box):
         occupied = np.logical_and.reduce([rep.occupied(s) for s in supp])
@@ -439,15 +442,14 @@ def interaction_matrix(rep: FockRep, box: Box, ip: InterparticleInteraction) -> 
 
 
 def build_hamiltonian(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-                      lam: float, ip: InterparticleInteraction) -> OperatorMatrix:
+                      lam: float, ip: InterparticleInteraction) -> np.ndarray:
     """H_L = sum <e_x,(Delta + lambda V) e_y> a_x* a_y + interparticle terms."""
     one = build_hopping(box, omega, theta) + lam * np.diag(potential_diagonal(box, omega))
-    h = _quadratic(rep, box, one) + interaction_matrix(rep, box, ip)
-    return OperatorMatrix(h, "even")
+    return _quadratic(rep, box, one) + interaction_matrix(rep, box, ip)
 
 
 def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-            a: FlatPulse, t: float) -> OperatorMatrix:
+            a: FlatPulse, t: float) -> np.ndarray:
     """W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y; zero outside [t0, t1].
 
     Only bond entries carry a Peierls phase, so W_t is the bond sum of
@@ -461,12 +463,12 @@ def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
         cp = c * np.exp(1j * (float(np.dot(amp, dx)) * frac))  # = bond_phase(a, t, *bond)
         return cp - c, np.conj(cp) - np.conj(c)
 
-    return OperatorMatrix(_scatter_bonds(rep, box, box.bonds, omega, theta, pair), "even")
+    return _scatter_bonds(rep, box, box.bonds, omega, theta, pair)
 
 
 def w_time_derivative(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-                      a: FlatPulse, t: float, h: float = 1e-6) -> OperatorMatrix:
+                      a: FlatPulse, t: float, h: float = 1e-6) -> np.ndarray:
     """Central finite difference of t -> W_t on the drive grid."""
-    wp = build_w(rep, box, omega, theta, a, t + h).mat
-    wm = build_w(rep, box, omega, theta, a, t - h).mat
-    return OperatorMatrix((wp - wm) / (2 * h), "even")
+    wp = build_w(rep, box, omega, theta, a, t + h)
+    wm = build_w(rep, box, omega, theta, a, t - h)
+    return (wp - wm) / (2 * h)

@@ -21,7 +21,7 @@ import numpy as np
 from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
     _uniform_step, duhamel_pair_eig, evolve, free_after_pulse
-from .fock import FockRep, OperatorMatrix
+from .fock import FockRep
 from .lattice import Box, DisorderSample, Site, shift
 from .model import FlatPulse, NotABondError, _scatter_bonds, bond_phase, \
     build_hamiltonian, build_w, InterparticleInteraction
@@ -38,23 +38,21 @@ def axis_bonds(box: Box, k: int) -> list:
 
 
 def current_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
-                theta: float) -> OperatorMatrix:
+                theta: float) -> np.ndarray:
     """sum over oriented bonds (x1, x2) of I = -2 Im(<e_x1, Delta e_x2> a_x1^* a_x2)
     = i(c a1* a2 - conj(c) a2* a1); a single bond is passed as [bond]."""
-    return OperatorMatrix(
-        _scatter_bonds(rep, box, bonds, omega, theta, lambda _, c: (1j * c, -1j * np.conj(c))),
-        "even")
+    return _scatter_bonds(rep, box, bonds, omega, theta,
+                          lambda _, c: (1j * c, -1j * np.conj(c)))
 
 
 def paramagnetic_partner_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample,
-                             theta: float) -> OperatorMatrix:
+                             theta: float) -> np.ndarray:
     """sum over oriented bonds (x1, x2) of P = 2 Re(<e_x1, Delta e_x2> a_x1^* a_x2)."""
-    return OperatorMatrix(
-        _scatter_bonds(rep, box, bonds, omega, theta, lambda _, c: (c, np.conj(c))), "even")
+    return _scatter_bonds(rep, box, bonds, omega, theta, lambda _, c: (c, np.conj(c)))
 
 
 def diamagnetic_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
-                    a: FlatPulse, t: float) -> OperatorMatrix:
+                    a: FlatPulse, t: float) -> np.ndarray:
     """sum over oriented bonds of the field correction to the bond current: the
     Peierls factor appears with a conjugated phase, (e^{-i arg} - 1), so that
     the eta-derivative reproduces the diamagnetic Ohm coefficient; a single
@@ -66,7 +64,7 @@ def diamagnetic_obs(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta:
         coef = (np.exp(-1j * bond_phase(a, t, *bond)) - 1.0) * c
         return 1j * coef, -1j * np.conj(coef)
 
-    return OperatorMatrix(_scatter_bonds(rep, box, bonds, omega, theta, pair), "even")
+    return _scatter_bonds(rep, box, bonds, omega, theta, pair)
 
 
 @dataclass
@@ -113,7 +111,7 @@ class TransportKernel:
         self._xi_d = np.zeros((box.dim, box.dim))
         for k in range(box.dim):
             bonds = axis_bonds(box, k)
-            self._j_eig.append(sd.to_eigenbasis(current_obs(rep, box, bonds, omega, theta).mat))
+            self._j_eig.append(sd.to_eigenbasis(current_obs(rep, box, bonds, omega, theta)))
             self._xi_d[k, k] = state.expect(
                 paramagnetic_partner_obs(rep, box, bonds, omega, theta)).real / self.volume
 
@@ -212,7 +210,7 @@ class TransportKernel:
     def bond_current_eig(self, bond) -> np.ndarray:
         key = ("I", bond)
         if key not in self._bond_cache:
-            mat = current_obs(self.rep, self.box, [bond], self.omega, self.theta).mat
+            mat = current_obs(self.rep, self.box, [bond], self.omega, self.theta)
             self._bond_cache[key] = self.state.spectral.to_eigenbasis(mat)
         return self._bond_cache[key]
 
@@ -238,7 +236,7 @@ class TransportKernel:
         return out.real if out.ndim else float(out.real)
 
     def sigma_d(self, bond) -> float:
-        mat = paramagnetic_partner_obs(self.rep, self.box, [bond], self.omega, self.theta).mat
+        mat = paramagnetic_partner_obs(self.rep, self.box, [bond], self.omega, self.theta)
         return float(self.state.expect(mat).real)
 
 
@@ -292,10 +290,10 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     the pulse the evolution is the exact rotation in the state's eigenbasis
     when that is the eigenbasis of H."""
     times = np.asarray(times, dtype=float)
-    h0 = build_hamiltonian(rep, box, omega, theta, lam, ip).mat
+    h0 = build_hamiltonian(rep, box, omega, theta, lam, ip)
     vol = len(box)
 
-    para_ops = [current_obs(rep, box, axis_bonds(box, k), omega, theta).mat
+    para_ops = [current_obs(rep, box, axis_bonds(box, k), omega, theta)
                 for k in range(box.dim)]
 
     j_th = np.array([state.expect(op).real / vol for op in para_ops])
@@ -304,7 +302,7 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
         return CurrentDensityTrace(times, j_th, np.zeros((len(times), box.dim)), 0.0)
 
     def h_of_t(t):
-        return h0 + build_w(rep, box, omega, theta, a_scaled, t).mat
+        return h0 + build_w(rep, box, omega, theta, a_scaled, t)
 
     def observe(t, rho):
         return [np.einsum("ij,ji->", rho, op).real / vol - jt
@@ -374,7 +372,7 @@ def pulse_efield_and_integral(a_base, w):
 # fluctuation observables and Green-Kubo residual
 # ---------------------------------------------------------------------------
 
-def fluctuation(builder: Callable[[Site], OperatorMatrix], xs, state: GibbsState) -> np.ndarray:
+def fluctuation(builder: Callable[[Site], np.ndarray], xs, state: GibbsState) -> np.ndarray:
     """F^(l)(B) = |Lambda|^{-1/2} sum_x (chi_x(B) - rho(chi_x(B)) 1).
 
     builder(x) realizes the translate chi_x(B); xs lists the translates that
@@ -383,10 +381,10 @@ def fluctuation(builder: Callable[[Site], OperatorMatrix], xs, state: GibbsState
     xs = list(xs)
     if not xs:
         raise SupportOverflowError("no translate of the observable fits in the box")
-    dim = builder(xs[0]).dim
+    dim = state.spectral.dim  # the translates act on the state's Fock space
     tot = np.zeros((dim, dim), dtype=complex)
     for x in xs:
-        mat = builder(x).mat
+        mat = builder(x)
         tot += mat - state.expect(mat) * np.eye(dim)
     return tot / np.sqrt(len(xs))
 

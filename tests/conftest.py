@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermicond.equilibrium import GibbsState, SpectralData
-from fermicond.fock import FockRep, OperatorMatrix
+from fermicond.fock import FockRep
 from fermicond.lattice import Box, DisorderDistribution
 from fermicond.model import FlatPulse, InterparticleInteraction, bond_phase, \
     build_hamiltonian
@@ -59,7 +59,7 @@ def random_local(rng, rep, hermitian=False):
     m = c1 * mats[i].conj().T @ mats[j] + c2 * mats[j].conj().T @ mats[i]
     if hermitian:
         m = m + m.conj().T
-    return OperatorMatrix(m)
+    return m
 
 
 @pytest.fixture

@@ -77,8 +77,8 @@ def test_criterion_02_kms_condition(rng):
         for _ in range(50):
             b1 = random_local(rng, base["rep"])
             b2 = random_local(rng, base["rep"])
-            rel = state.kms_defect(b1, b2) / (np.linalg.norm(b1.mat, 2)
-                                              * np.linalg.norm(b2.mat, 2))
+            rel = state.kms_defect(b1, b2) / (np.linalg.norm(b1, 2)
+                                              * np.linalg.norm(b2, 2))
             worst = max(worst, rel)
     report(2, worst <= 1e-9, f"KMS defect {worst:.2e} <= 1e-9 (50 pairs x 3 betas)")
 
@@ -115,7 +115,7 @@ def test_criterion_04_passivity(rng):
     for name in ("disordered-6", "real-6"):
         sys = SYSTEMS[name]
         for _ in range(20):
-            b = random_local(rng, sys["rep"], hermitian=True).mat
+            b = random_local(rng, sys["rep"], hermitian=True)
 
             def a_of_t(s, b=b):
                 if s <= 0.0 or s >= 1.0:

@@ -9,7 +9,7 @@ from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
                                    lieb_robinson_check, richardson_drive_check,
                                    step_unitary, work_functional, _CF4_A, _CF4_C,
                                    _simpson_weights)
-from fermicond.fock import OperatorMatrix, opnorm
+from fermicond.fock import opnorm_mat
 from fermicond.model import (DecayFunction, InterparticleInteraction, build_w, flat_pulse,
                              full_interaction_norm, rescale)
 
@@ -18,7 +18,7 @@ from conftest import make_system, nn_interaction, random_local
 
 def test_spectral_data_verify():
     sys = make_system(4, "iid-uniform", seed=2, theta=0.3, lam=0.7)
-    assert sys["spectral"].verify(sys["h"].mat)
+    assert sys["spectral"].verify(sys["h"])
     u = sys["spectral"].eigenvectors
     assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= 1e-12
     assert np.all(np.diff(sys["spectral"].eigenvalues) >= 0)
@@ -56,7 +56,7 @@ def test_gibbs_properties():
     rho = sys["state"].density
     assert abs(np.trace(rho).real - 1.0) <= 1e-13
     assert np.linalg.eigvalsh(rho).min() >= -1e-15
-    comm = rho @ sys["h"].mat - sys["h"].mat @ rho
+    comm = rho @ sys["h"] - sys["h"] @ rho
     assert np.linalg.norm(comm, 2) <= 1e-12
 
 
@@ -77,7 +77,7 @@ def test_kms_identity_random_pairs(rng):
         st = GibbsState.of(sys["spectral"], beta)
         for _ in range(10):
             b1, b2 = random_local(rng, sys["rep"]), random_local(rng, sys["rep"])
-            assert st.kms_defect(b1, b2) <= 1e-9 * opnorm(b1) * opnorm(b2)
+            assert st.kms_defect(b1, b2) <= 1e-9 * opnorm_mat(b1) * opnorm_mat(b2)
 
 
 def test_kms_via_matrix_route(rng):
@@ -86,21 +86,21 @@ def test_kms_via_matrix_route(rng):
     st = sys["state"]
     b1, b2 = random_local(rng, sys["rep"]), random_local(rng, sys["rep"])
     tau_b2 = imaginary_time(b2, st.beta, sys["spectral"])
-    lhs = np.trace(st.density @ b1.mat @ tau_b2.mat)
-    rhs = np.trace(st.density @ b2.mat @ b1.mat)
-    assert abs(lhs - rhs) <= 1e-9 * opnorm(b1) * opnorm(b2)
+    lhs = np.trace(st.density @ b1 @ tau_b2)
+    rhs = np.trace(st.density @ b2 @ b1)
+    assert abs(lhs - rhs) <= 1e-9 * opnorm_mat(b1) * opnorm_mat(b2)
 
 
 def test_heisenberg_group_law(rng):
     sys = make_system(4, "iid-uniform", seed=8, theta=0.4)
     sd = sys["spectral"]
     b = random_local(rng, sys["rep"])
-    assert opnorm(heisenberg(b, 0.0, sd) - b) <= 1e-13
-    h_op = OperatorMatrix(sys["h"].mat, "even")
-    assert opnorm(heisenberg(h_op, 1.3, sd) - h_op) <= 1e-11
+    assert opnorm_mat(heisenberg(b, 0.0, sd) - b) <= 1e-13
+    h_op = sys["h"]
+    assert opnorm_mat(heisenberg(h_op, 1.3, sd) - h_op) <= 1e-11
     lhs = heisenberg(heisenberg(b, 0.7, sd), 0.5, sd)
     rhs = heisenberg(b, 1.2, sd)
-    assert opnorm(lhs - rhs) <= 1e-11 * max(1.0, opnorm(b))
+    assert opnorm_mat(lhs - rhs) <= 1e-11 * max(1.0, opnorm_mat(b))
 
 
 def test_kms_stationarity(rng):
@@ -108,15 +108,15 @@ def test_kms_stationarity(rng):
     st, sd = sys["state"], sys["spectral"]
     for t in (0.1, 1.0, 10.0):
         b = random_local(rng, sys["rep"])
-        drift = abs(st.expect(heisenberg(b, t, sd).mat) - st.expect(b.mat))
-        assert drift <= 1e-10 * opnorm(b)
+        drift = abs(st.expect(heisenberg(b, t, sd)) - st.expect(b))
+        assert drift <= 1e-10 * opnorm_mat(b)
 
 
 def test_imaginary_time_conditioning_warning():
     h = np.diag([0.0, 80.0])
     sd = SpectralData.from_hamiltonian(h)
     with pytest.warns(ConditioningWarning):
-        imaginary_time(OperatorMatrix(np.ones((2, 2))), 1.0, sd)
+        imaginary_time(np.ones((2, 2), dtype=complex), 1.0, sd)
 
 
 def test_duhamel_identity_and_positivity(rng):
@@ -141,7 +141,7 @@ def test_duhamel_vs_gauss_quadrature(rng):
     total = 0.0
     for alpha, w in zip(alphas, weights):
         tau_b2 = imaginary_time(b2, alpha, sd)
-        total += w * np.trace(st.density @ b1.H.mat @ tau_b2.mat)
+        total += w * np.trace(st.density @ b1.conj().T @ tau_b2)
     oracle = 0.5 * st.beta * total
     assert abs(duhamel(b1, b2, st) - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
@@ -154,7 +154,7 @@ def _keep(t, rho):
 
 def test_drive_stationary_without_field():
     sys = make_system(4, "iid-uniform", seed=12, beta=1.0)
-    h0 = sys["h"].mat
+    h0 = sys["h"]
     rhos = evolve(sys["state"].density, lambda t: h0, np.linspace(0.0, 1.0, 21), 0.05, _keep)
     assert np.linalg.norm(rhos[-1] - sys["state"].density, 2) <= 1e-10
     for rho in rhos:
@@ -170,8 +170,8 @@ def _exact(h, t, rho):
 
 def test_drive_autonomous_matches_exponential(rng):
     sys = make_system(4, "iid-uniform", seed=13)
-    pert = random_local(rng, sys["rep"], hermitian=True).mat
-    h = sys["h"].mat + pert
+    pert = random_local(rng, sys["rep"], hermitian=True)
+    h = sys["h"] + pert
     rho0 = sys["state"].density
     rhos = evolve(rho0, lambda t: h, [0.0, 0.8], 0.01, _keep)
     assert np.linalg.norm(rhos[-1] - _exact(h, 0.8, rho0), 2) <= 1e-10
@@ -180,7 +180,7 @@ def test_drive_autonomous_matches_exponential(rng):
 def test_evolve_hits_nonuniform_grid(rng):
     # gaps of 0.013 .. 0.37 are no multiples of dt; each grid time is hit exactly
     sys = make_system(4, "iid-uniform", seed=21)
-    h = sys["h"].mat + random_local(rng, sys["rep"], hermitian=True).mat
+    h = sys["h"] + random_local(rng, sys["rep"], hermitian=True)
     rho0 = sys["state"].density
     grid = [0.0, 0.013, 0.1, 0.37, 0.5, 0.83, 1.2]
     out = evolve(rho0, lambda t: h, grid, 0.05, lambda t, rho: (t, rho))
@@ -193,7 +193,7 @@ def test_evolve_free_after_matches_exact_on_nonuniform_grid(rng):
     # constant H: the CF4 gaps before 0.3 and the rotations of the one
     # eigenbasis rho from 0.37 on both reproduce e^{-itH} rho0 e^{itH}
     sys = make_system(4, "iid-uniform", seed=21)
-    h = sys["h"].mat + random_local(rng, sys["rep"], hermitian=True).mat
+    h = sys["h"] + random_local(rng, sys["rep"], hermitian=True)
     rho0 = sys["state"].density
     grid = [0.0, 0.013, 0.1, 0.37, 0.5, 0.83, 1.2]
     out = evolve(rho0, lambda t: h, grid, 0.05, lambda t, rho: (t, rho),
@@ -253,7 +253,7 @@ def test_exact_tail_needs_the_spectrum_of_h(monkeypatch):
     # a state diagonalised from another H is never rotated with its spectrum:
     # the run is CF4 throughout, bit for bit
     sys, a_base, times = _tail_drive()
-    other = GibbsState.of(SpectralData.from_hamiltonian(1.01 * sys["h"].mat), 1.0)
+    other = GibbsState.of(SpectralData.from_hamiltonian(1.01 * sys["h"]), 1.0)
     j_p, tr = _driven(sys, a_base, times, other)
     _cf4_only(monkeypatch)
     j_ref, ref = _driven(sys, a_base, times, other)
@@ -264,7 +264,7 @@ def test_exact_tail_needs_the_spectrum_of_h(monkeypatch):
 
 def test_propagator_composition():
     sys = make_system(3, "iid-uniform", seed=14)
-    h0 = sys["h"].mat
+    h0 = sys["h"]
 
     def h_of_t(t):
         return h0 * (1.0 + 0.2 * np.sin(t))
@@ -281,13 +281,13 @@ def test_propagator_composition():
 
 def test_propagator_order(rng):
     sys = make_system(3, "iid-uniform", seed=15)
-    h0 = sys["h"].mat
-    pert = random_local(rng, sys["rep"], hermitian=True).mat
+    h0 = sys["h"]
+    pert = random_local(rng, sys["rep"], hermitian=True)
 
     def h_of_t(t):
         return h0 + np.sin(2.1 * t) * pert
 
-    obs = random_local(rng, sys["rep"], hermitian=True).mat
+    obs = random_local(rng, sys["rep"], hermitian=True)
 
     def final(dt):
         rho = evolve(sys["state"].density, h_of_t, [0.0, 1.0], dt, _keep)[-1]
@@ -302,8 +302,8 @@ def test_propagator_order(rng):
 
 def test_richardson_check(rng):
     sys = make_system(3, "iid-uniform", seed=16)
-    h0 = sys["h"].mat
-    pert = random_local(rng, sys["rep"], hermitian=True).mat
+    h0 = sys["h"]
+    pert = random_local(rng, sys["rep"], hermitian=True)
     obs = np.diag(np.arange(8.0))
 
     def h_of_t(t):  # non-commuting drive so the state actually moves
@@ -324,8 +324,8 @@ def _hubbard_drive(n_sites=6):
     a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=float(n_sites)), 2.0, 0.4)
 
     def h_of_t(t):
-        return sys["h"].mat + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
-                                      a, t).mat
+        return sys["h"] + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
+                                      a, t)
 
     return sys, h_of_t
 
@@ -345,7 +345,7 @@ def _off_sector(dim):
 def test_sector_step_matches_dense_exponentials():
     sys, h_of_t = _hubbard_drive()
     t, dt = 0.4, 0.05
-    assert np.any(h_of_t(t) != sys["h"].mat)  # the field is on
+    assert np.any(h_of_t(t) != sys["h"])  # the field is on
     u = step_unitary(h_of_t, t, dt)
     assert np.abs(u - _dense_cf4(h_of_t, t, dt)).max() <= 1e-12
     assert not np.any(u[_off_sector(len(u))])
@@ -356,7 +356,7 @@ def test_sector_step_falls_back_for_off_sector_terms():
     sys, h_of_t = _hubbard_drive()
     x = sys["rep"].site_order[2]
     a = sys["rep"].annihilator(x)
-    odd = 0.3 * (a + a.H).mat  # changes the particle number by one
+    odd = 0.3 * (a + a.conj().T)  # changes the particle number by one
 
     def h_mixed(t):
         return h_of_t(t) + odd
@@ -404,7 +404,7 @@ def test_passivity_random_cyclic(rng):
     for beta in (0.5, 1.0, 2.0):
         sys = make_system(4, "iid-uniform", seed=18, beta=beta, ip=nn_interaction(0.7))
         for _ in range(4):
-            b = random_local(rng, sys["rep"], hermitian=True).mat
+            b = random_local(rng, sys["rep"], hermitian=True)
 
             def a_of_t(s, b=b):
                 if s <= 0.0 or s >= 1.0:
@@ -425,7 +425,7 @@ def test_work_equals_total_energy_increment(rng):
     a_sc = rescale(a_base, l, eta)
 
     def a_of_t(s):
-        return build_w(sys["rep"], sys["box"], sys["omega"], 0.4, a_sc, s).mat
+        return build_w(sys["rep"], sys["box"], sys["omega"], 0.4, a_sc, s)
 
     t_end = 1.25
     val = work_functional(sys["state"], a_of_t, 0.0, t_end, 0.01)
@@ -454,7 +454,7 @@ def test_lieb_robinson_basics(rng):
     assert res1["satisfied"] and res1["lhs"] > 0.0
     assert lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((3,), (4,)), 1.0,
                                sys["spectral"], f, conv, dsup,
-                               norms=(opnorm(b1), opnorm(b2))) == res1
+                               norms=(opnorm_mat(b1), opnorm_mat(b2))) == res1
     with pytest.raises(OverlappingSupportsError):
         lieb_robinson_check(b1, ((-3,), (-2,)), b2, ((-2,), (0,)), 1.0,
                             sys["spectral"], f, conv, dsup)
@@ -462,6 +462,17 @@ def test_lieb_robinson_basics(rng):
     with pytest.raises(ValueError):
         lieb_robinson_check(odd, ((-3,),), b2, ((3,), (4,)), 1.0,
                             sys["spectral"], f, conv, dsup)
+    with pytest.raises(ValueError):
+        lieb_robinson_check(odd + sys["rep"].number((-3,)), ((-3,),), b2, ((3,), (4,)), 1.0,
+                            sys["spectral"], f, conv, dsup)
+    # every bond current is even, in either orientation, and is accepted as B1
+    for x, y in sys["box"].bonds:
+        if {x, y} & {(3,), (4,)}:
+            continue
+        for bond in ((x, y), (y, x)):
+            cur = current_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0)
+            assert lieb_robinson_check(cur, bond, b2, ((3,), (4,)), 0.5, sys["spectral"],
+                                       f, conv, dsup)["satisfied"]
 
 
 def test_gibbs_overflow_safety():

@@ -80,6 +80,35 @@ def test_config_field_level_errors(tmp_path):
         assert main(["run", "ohm", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"model.sites": 15}, "model.sites"),  # above DEFAULT_SITE_CAP
+    ({"model.d": 2, "model.sites": None, "model.shape": [4, 4]}, "model.shape"),
+    ({"model.d": 3, "model.sites": None, "model.l": 1}, "model.l"),
+    ({"model.interaction": "density-density", "model.U": 1.0, "model.range": 6},
+     "model.range"),  # beyond the 4-site box's extent of 5
+    ({"disorder.kind": "iid-uniform", "disorder.seed": -1}, "disorder.seed"),
+])
+def test_config_rejects_what_would_crash_the_run(tmp_path, capsys, overrides, key):
+    p = write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.load(p)
+    assert any(e.startswith(key) for e in err.value.errors), err.value.errors
+    assert main(["run", "transport", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [("--seed", "-1", "disorder.seed"),
+                                              ("--workers", "0", "run.workers")])
+def test_cli_overrides_are_validated(tmp_path, monkeypatch, capsys, flag, value, key):
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    p = write_config(tmp_path, {"disorder.kind": "iid-uniform"})
+    out = tmp_path / "o"
+    assert main(["run", "transport", "--config", str(p), flag, value, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_unknown_keys(tmp_path):
     p = write_config(tmp_path, {"model.flux": 3})
     with pytest.raises(ConfigError) as err:
@@ -111,6 +140,29 @@ def test_cache_corruption_detected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CacheCorruptionError):
         cache.get("abc", 1)
+
+
+def test_cache_returns_the_entry_it_verified(tmp_path, monkeypatch):
+    """A writer that replaces the entry right after get() has read it for the
+    checksum must not change what get() returns."""
+    cache = SpectralCache(str(tmp_path / "cache"))
+    sd = SpectralData.from_hamiltonian(np.diag([0.0, 2.0]))
+    path = cache.put("abc", 1, sd)
+    other = SpectralCache(str(tmp_path / "other"))
+    swapped = other.put("abc", 1, SpectralData.from_hamiltonian(np.diag([5.0, 7.0])))
+    read_bytes = Path.read_bytes
+
+    def read_then_swap(self):
+        data = read_bytes(self)
+        if self == path:
+            os.replace(swapped, path)
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_swap)
+    back = cache.get("abc", 1)
+    assert np.array_equal(back.eigenvalues, sd.eigenvalues)
+    assert back.source_hash == sd.source_hash
+    assert not swapped.exists() and path.exists()  # the swap did happen
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -177,7 +229,7 @@ def test_cache_format_bump_rebuilds_old_entries(tmp_path, monkeypatch):
     cache = SpectralCache(cfg.run.cache_dir)
     with monkeypatch.context() as mp:
         mp.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
-        cache.put(key, seed, SpectralData(*np.linalg.eigh(h.mat), fresh.spectral.source_hash))
+        cache.put(key, seed, SpectralData(*np.linalg.eigh(h), fresh.spectral.source_hash))
         assert cache.get(key, seed) is not None
     assert cache_module.CACHE_FORMAT_VERSION > 1
     assert cache.get(key, seed) is None

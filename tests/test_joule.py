@@ -75,7 +75,7 @@ def diamagnetic_density_exact_oracle(kernel, a_base, l, times):
     a_l = rescale(a_base, l, 1.0)
     box = kernel.box
     p_exp = np.array([kernel.state.expect(
-        paramagnetic_partner_obs(kernel.rep, box, [b], kernel.omega, kernel.theta).mat).real
+        paramagnetic_partner_obs(kernel.rep, box, [b], kernel.omega, kernel.theta)).real
         for b in box.bonds])
     out = np.zeros(len(times))
     for it, t in enumerate(times):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from fermicond.fock import FockRep, opnorm
+from fermicond.fock import FockRep, is_even, opnorm_mat
 from fermicond.lattice import Box, DisorderDistribution, DisorderSample, LatticeSpec
 from fermicond.model import (BoundaryProximityWarning, DecayFunction,
                              InterparticleInteraction,
@@ -231,7 +231,7 @@ def test_free_spectrum_subset_sums():
     rep = FockRep.of_box(box)
     s = DisorderDistribution("iid-uniform", 2).sample(box)
     h = build_hamiltonian(rep, box, s, 0.4, 0.8, InterparticleInteraction("none"))
-    many = np.sort(np.linalg.eigvalsh(h.mat))
+    many = np.sort(np.linalg.eigvalsh(h))
     one = np.linalg.eigvalsh(build_hopping(box, s, 0.4)
                              + 0.8 * np.diag(potential_diagonal(box, s)))
     assert np.allclose(many, subset_sums(one), atol=1e-10)
@@ -245,7 +245,7 @@ def test_hubbard_onsite_shift():
     u = 1.3
     h = build_hamiltonian(rep, box, s, 0.0, 0.0, InterparticleInteraction("hubbard", U=u))
     one = np.linalg.eigvalsh(build_hopping(box, s, 0.0)) + u
-    assert np.allclose(np.sort(np.linalg.eigvalsh(h.mat)), subset_sums(one), atol=1e-10)
+    assert np.allclose(np.sort(np.linalg.eigvalsh(h)), subset_sums(one), atol=1e-10)
 
 
 def test_density_density_two_site_brute_force():
@@ -261,7 +261,7 @@ def test_density_density_two_site_brute_force():
     a1 = np.kron(sz, sm)
     hop = -(a0.conj().T @ a1 + a1.conj().T @ a0) + 2.0 * (a0.conj().T @ a0 + a1.conj().T @ a1)
     oracle = hop + u * (a0.conj().T @ a0) @ (a1.conj().T @ a1)
-    assert np.linalg.norm(h.mat - oracle, 2) <= 1e-13
+    assert np.linalg.norm(h - oracle, 2) <= 1e-13
 
 
 def test_gauge_invariance_of_interacting_h():
@@ -270,10 +270,10 @@ def test_gauge_invariance_of_interacting_h():
     s = DisorderDistribution("iid-uniform", 6).sample(box)
     h = build_hamiltonian(rep, box, s, 0.5, 1.0, nn_interaction(1.0))
     n_tot = rep.total_number()
-    comm = h.mat @ n_tot.mat - n_tot.mat @ h.mat
-    assert np.linalg.norm(comm, 2) <= 1e-12 * np.linalg.norm(h.mat, 2)
-    assert h.parity == "even"
-    assert rep.parity_of(h.mat) == "even"
+    comm = h @ n_tot - n_tot @ h
+    assert np.linalg.norm(comm, 2) <= 1e-12 * np.linalg.norm(h, 2)
+    assert is_even(h)
+    assert rep.parity_of(h) == "even"
 
 
 def test_build_w_zero_cases():
@@ -282,10 +282,10 @@ def test_build_w_zero_cases():
     s = clean(box)
     a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     zero = rescale(a, 1.0, 0.0)
-    assert opnorm(build_w(rep, box, s, 0.0, zero, 0.5)) <= 1e-12
-    assert np.all(build_w(rep, box, s, 0.0, a, 1.5).mat == 0.0)  # after t1
+    assert opnorm_mat(build_w(rep, box, s, 0.0, zero, 0.5)) <= 1e-12
+    assert np.all(build_w(rep, box, s, 0.0, a, 1.5) == 0.0)  # after t1
     w = build_w(rep, box, s, 0.0, a, 0.5)
-    assert np.linalg.norm(w.mat - w.mat.conj().T, 2) <= 1e-12
+    assert np.linalg.norm(w - w.conj().T, 2) <= 1e-12
 
 
 def test_build_w_linear_in_field():
@@ -296,7 +296,7 @@ def test_build_w_linear_in_field():
     norms = []
     etas = [1e-3, 1e-2, 1e-1]
     for eta in etas:
-        norms.append(opnorm(build_w(rep, box, s, 0.0, rescale(a, 1.0, eta), 0.5)))
+        norms.append(opnorm_mat(build_w(rep, box, s, 0.0, rescale(a, 1.0, eta), 0.5)))
     slope = np.polyfit(np.log(etas), np.log(norms), 1)[0]
     assert abs(slope - 1.0) < 0.05
 
@@ -308,9 +308,9 @@ def test_w_time_derivative_fd():
     a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     dw = w_time_derivative(rep, box, s, 0.0, a, 0.5)
     h = 1e-4
-    oracle = (build_w(rep, box, s, 0.0, a, 0.5 + h).mat
-              - build_w(rep, box, s, 0.0, a, 0.5 - h).mat) / (2 * h)
-    assert np.linalg.norm(dw.mat - oracle, 2) <= 1e-5
+    oracle = (build_w(rep, box, s, 0.0, a, 0.5 + h)
+              - build_w(rep, box, s, 0.0, a, 0.5 - h)) / (2 * h)
+    assert np.linalg.norm(dw - oracle, 2) <= 1e-5
 
 
 # -- decay functions and interaction norms ------------------------------------

@@ -73,7 +73,7 @@ def _system(label):
 
 def _oracle(sys):
     """Plain eigh; use it only inside dense_route."""
-    evals, evecs = np.linalg.eigh(sys["h"].mat)
+    evals, evecs = np.linalg.eigh(sys["h"])
     return SpectralData(evals, evecs, "dense")
 
 
@@ -85,7 +85,7 @@ def _off_sector(dim):
 @pytest.mark.parametrize("label", CASES)
 def test_sector_spectrum_and_reconstruction(label):
     sys = _system(label)
-    sd, h = sys["sd"], sys["h"].mat
+    sd, h = sys["sd"], sys["h"]
     assert sd._blocks is not None  # the sector route was taken
     n = np.bitwise_count(np.arange(sd.dim))
     # each eigenvector lives in one sector: U is exactly zero elsewhere
@@ -105,14 +105,14 @@ def test_sector_basis_changes_and_heisenberg(label):
     sys = _system(label)
     sd, b = sys["sd"], sys["b1"]
     u = sd.eigenvectors
-    bt = sd.to_eigenbasis(b.mat)
-    assert np.abs(bt - u.conj().T @ b.mat @ u).max() <= TOL
-    assert np.abs(sd.from_eigenbasis(bt) - b.mat).max() <= TOL
+    bt = sd.to_eigenbasis(b)
+    assert np.abs(bt - u.conj().T @ b @ u).max() <= TOL
+    assert np.abs(sd.from_eigenbasis(bt) - b).max() <= TOL
     evolved = heisenberg(b, 0.7, sd)
-    assert not np.any(evolved.mat[_off_sector(sd.dim)])
+    assert not np.any(evolved[_off_sector(sd.dim)])
     with dense_route():
         ref = heisenberg(b, 0.7, _oracle(sys))
-    assert np.abs(evolved.mat - ref.mat).max() <= TOL
+    assert np.abs(evolved - ref).max() <= TOL
 
 
 @pytest.mark.parametrize("label", CASES)
@@ -131,10 +131,10 @@ def test_sector_norms_commutators_and_lieb_robinson(label):
     sys = _system(label)
     h, b1, b2 = sys["h"], sys["b1"], sys["b2"]
     for op in (h, b1, b2, b1 @ b2):
-        assert abs(opnorm_mat(op.mat) - np.linalg.norm(op.mat, 2)) <= TOL * max(
-            1.0, np.linalg.norm(op.mat, 2))
+        assert abs(opnorm_mat(op) - np.linalg.norm(op, 2)) <= TOL * max(
+            1.0, np.linalg.norm(op, 2))
     for a, b in ((h, b1), (b1, b2), (b1 @ b2, h)):
-        assert np.abs(commutator(a, b).mat - (a.mat @ b.mat - b.mat @ a.mat)).max() <= TOL
+        assert np.abs(commutator(a, b) - (a @ b - b @ a)).max() <= TOL
     supp1, supp2 = sys["bonds"]
     args = (b1, supp1, b2, supp2, 1.3)
     bound = (lambda r: 1.0, 1.0, 1.0)
@@ -160,8 +160,8 @@ def _drive(sys):
     a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=6.0), 2.0, 0.4)
 
     def h_of_t(t):
-        return sys["h"].mat + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
-                                      a, t).mat
+        return sys["h"] + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
+                                      a, t)
 
     return h_of_t
 
@@ -188,29 +188,29 @@ def test_number_changing_terms_take_dense_route():
     sys = _system("N6-th0.5-l1.0-hubbard")
     sd, h, b1 = sys["sd"], sys["h"], sys["b1"]
     a = sys["rep"].annihilator(sys["rep"].site_order[2])
-    odd = 0.3 * (a + a.H)  # changes the particle number by one
-    assert sector_blocks(odd.mat) is None
+    odd = 0.3 * (a + a.conj().T)  # changes the particle number by one
+    assert sector_blocks(odd) is None
     # in H: one full eigh
     mixed = SpectralData.from_hamiltonian(h + odd)
-    evals, evecs = np.linalg.eigh((h + odd).mat)
+    evals, evecs = np.linalg.eigh(h + odd)
     assert np.array_equal(mixed.eigenvalues, evals)
     assert np.array_equal(mixed.eigenvectors, evecs)
     assert mixed._blocks is None
     # in an operand: dense basis changes, norms and commutators
     op = b1 + odd
     u = sd.eigenvectors
-    assert np.array_equal(sd.to_eigenbasis(op.mat), u.conj().T @ op.mat @ u)
-    assert opnorm_mat(op.mat) == float(np.linalg.norm(op.mat, 2))
-    assert np.array_equal(commutator(h, op).mat, h.mat @ op.mat - op.mat @ h.mat)
+    assert np.array_equal(sd.to_eigenbasis(op), u.conj().T @ op @ u)
+    assert opnorm_mat(op) == float(np.linalg.norm(op, 2))
+    assert np.array_equal(commutator(h, op), h @ op - op @ h)
     evolved = heisenberg(op, 0.7, sd)
     with dense_route():
         ref = heisenberg(op, 0.7, _oracle(sys))
-    assert np.abs(evolved.mat - ref.mat).max() <= TOL
+    assert np.abs(evolved - ref).max() <= TOL
     # driven by a number-changing generator: one-block steps, dense rho update
     h_of_t = _drive(sys)
 
     def h_mixed(t):
-        return h_of_t(t) + odd.mat
+        return h_of_t(t) + odd
 
     rho = GibbsState.of(sd, 1.0).density
     grid = [0.0, 0.3]
@@ -229,7 +229,7 @@ def test_dense_eigenvectors_stay_dense():
     assert sd._blocks is None
     rep = FockRep.of_box(Box.chain(4))
     x, y = rep.site_order[:2]
-    b = rep.number(y).mat + fock.bilinear(rep, x, y, 0.5).mat
+    b = rep.number(y) + fock.bilinear(rep, x, y, 0.5)
     assert sector_blocks(b) is not None
     assert np.array_equal(sd.to_eigenbasis(b), q.conj().T @ b @ q)
     assert np.array_equal(sd.from_eigenbasis(b), q @ b @ q.conj().T)
@@ -246,4 +246,4 @@ def test_sector_blocks_detector():
     m[0, 1] = 1e-300  # popcount 0 -> 1
     assert sector_blocks(m) is None
     rep = FockRep.of_box(Box.chain(4))
-    assert sector_blocks(rep.total_number().mat) is grids
+    assert sector_blocks(rep.total_number()) is grids

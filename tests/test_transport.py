@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from fermicond.equilibrium import GibbsState, SpectralData, duhamel, heisenberg, \
     _simpson_weights
-from fermicond.fock import FockRep, OperatorMatrix, opnorm, time_reversal
+from fermicond.fock import FockRep, is_even, opnorm_mat, time_reversal
 from fermicond.lattice import Box, DisorderDistribution, shift
 from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_hopping,
                              flat_pulse, rescale)
@@ -34,16 +34,16 @@ def test_current_obs_two_site_brute_force():
     c = -1.0  # hopping entry with omega2 = 0, any theta
     m = c * a0.conj().T @ a1
     oracle = 1j * (m - m.conj().T)
-    assert np.linalg.norm(cur.mat - oracle, 2) <= 1e-14
-    assert cur.is_selfadjoint()
-    assert cur.parity == "even"
+    assert np.linalg.norm(cur - oracle, 2) <= 1e-14
+    assert opnorm_mat(cur - cur.conj().T) <= 1e-12 * max(1.0, opnorm_mat(cur))
+    assert is_even(cur)
 
 
 def test_current_obs_orientation_flip():
     sys = make_system(4, "iid-uniform", seed=1, theta=0.6)
     fwd = current_obs(sys["rep"], sys["box"], [((0,), (1,))], sys["omega"], 0.6)
     bwd = current_obs(sys["rep"], sys["box"], [((1,), (0,))], sys["omega"], 0.6)
-    assert opnorm(fwd + bwd) <= 1e-13
+    assert opnorm_mat(fwd + bwd) <= 1e-13
 
 
 def test_current_obs_not_a_bond():
@@ -55,7 +55,7 @@ def test_current_obs_not_a_bond():
 def test_time_reversal_flips_current_real_hopping():
     sys = make_system(4, "iid-real-hopping", seed=2, theta=0.8)
     cur = current_obs(sys["rep"], sys["box"], [((1,), (0,))], sys["omega"], 0.8)
-    assert opnorm(time_reversal(sys["rep"], cur) + cur) <= 1e-13
+    assert opnorm_mat(time_reversal(sys["rep"], cur) + cur) <= 1e-13
 
 
 def test_diamagnetic_obs_zero_cases():
@@ -63,9 +63,9 @@ def test_diamagnetic_obs_zero_cases():
     a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     zero = rescale(a, 1.0, 0.0)
     bond = ((1,), (0,))
-    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
+    assert opnorm_mat(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
                                   zero, 0.5)) <= 1e-14
-    assert opnorm(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
+    assert opnorm_mat(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
                                   a, 2.0)) == 0.0  # after t1
 
 
@@ -80,7 +80,7 @@ def test_diamagnetic_obs_small_field_expansion():
     assert 0 < abs(arg) < 1e-3
     dia = diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.5, a, t)
     p = paramagnetic_partner_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.5)
-    assert opnorm(dia - arg * p) <= 2.0 * arg ** 2 * opnorm(p)
+    assert opnorm_mat(dia - arg * p) <= 2.0 * arg ** 2 * opnorm_mat(p)
 
 
 def test_sigma_p_zero_and_reversal_symmetry():
@@ -104,8 +104,8 @@ def test_sigma_p_closed_form_vs_quadrature():
     ss = np.linspace(0.0, t, n + 1)
     vals = []
     for s in ss:
-        evolved = heisenberg(cur, s, sys["spectral"]).mat
-        comm = cur.mat @ evolved - evolved @ cur.mat
+        evolved = heisenberg(cur, s, sys["spectral"])
+        comm = cur @ evolved - evolved @ cur
         vals.append((1j * np.trace(sys["state"].density @ comm)).real)
     oracle = float(np.dot(_simpson_weights(n, t / n), vals))
     assert abs(closed - oracle) <= 1e-7
@@ -249,14 +249,14 @@ def test_bond_currents_nonzero_with_flux():
     box, rep, st = sysc["box"], sysc["rep"], sysc["state"]
     bond = box.bonds[0]
     cur = current_obs(rep, box, [(bond[1], bond[0])], sysc["omega"], 0.9)
-    val = st.expect(cur.mat).real
+    val = st.expect(cur).real
     assert abs(val) > 1e-6
     # conjugation pairing: the current flips sign exactly under omega -> omega-bar
     omc = sysc["omega"].conjugate()
     h = build_hamiltonian(rep, box, omc, 0.9, 0.0, InterparticleInteraction("none"))
     st2 = GibbsState.of(SpectralData.from_hamiltonian(h), 1.0)
     cur2 = current_obs(rep, box, [(bond[1], bond[0])], omc, 0.9)
-    assert abs(val + st2.expect(cur2.mat).real) <= 1e-12
+    assert abs(val + st2.expect(cur2).real) <= 1e-12
 
 
 def test_driven_currents_trivial_cases():
@@ -336,7 +336,7 @@ def test_fluctuation_observable(rng):
     b = random_local(rng, rep, hermitian=True)
     f_b = fluctuation(lambda x: b, xs, st)  # constant builder still centers
     assert abs(st.expect(f_b)) <= 1e-10
-    pair = duhamel(OperatorMatrix(f_b), OperatorMatrix(f_b), st)
+    pair = duhamel(f_b, f_b, st)
     assert pair.real >= -1e-12
 
 
@@ -358,10 +358,10 @@ def test_continuity_equation():
     box, rep, omega = sys["box"], sys["rep"], sys["omega"]
     a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.4)
     from fermicond.model import build_w
-    h0 = build_hamiltonian(rep, box, omega, 0.4, 0.8, nn_interaction(0.6)).mat
+    h0 = build_hamiltonian(rep, box, omega, 0.4, 0.8, nn_interaction(0.6))
 
     def h_of_t(t):
-        return h0 + build_w(rep, box, omega, 0.4, a, t).mat
+        return h0 + build_w(rep, box, omega, 0.4, a, t)
 
     from fermicond.equilibrium import evolve
     t_probe, dt = 0.6, 0.005
@@ -369,7 +369,7 @@ def test_continuity_equation():
     rhos = evolve(sys["state"].density, h_of_t, np.linspace(0.0, t_probe + dt, i_probe + 2),
                   dt, lambda t, rho: rho)
     x = (0,)
-    n_x = rep.number(x).mat
+    n_x = rep.number(x)
     dn_dt = (np.trace(rhos[i_probe + 1] @ n_x).real
              - np.trace(rhos[i_probe - 1] @ n_x).real) / (2 * dt)
     # full currents from the time-dependent hopping matrix at t_probe
