@@ -25,6 +25,11 @@ class ConfigError(Exception):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
+def _is_integer(v) -> bool:
+    """An int from JSON or the command line; not a bool, not a float such as 4.5."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class ModelBlock:
     d: int = 1
@@ -161,8 +166,19 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> list[str]:
-        e = []
         m, f, dis, r = self.model, self.field_, self.disorder, self.run
+        # counts, sizes and seeds: every check and the run below compare and
+        # count with them, so a wrong type is reported alone
+        counts = {"model.d": m.d, "model.l": m.l, "model.sites": m.sites,
+                  "disorder.seed": dis.seed, "disorder.n_samples": dis.n_samples,
+                  "run.n_times": r.n_times, "run.workers": r.workers}
+        e = [f"{key}: must be an integer" for key, v in counts.items()
+             if v is not None and not _is_integer(v)]
+        if m.shape is not None and not (isinstance(m.shape, list) and len(m.shape) == m.d
+                                        and all(_is_integer(n) and n >= 1 for n in m.shape)):
+            e.append(f"model.shape: must list {m.d} integers >= 1")
+        if e:
+            return e
         if m.d < 1:
             e.append("model.d: must be >= 1")
         if m.l is not None and m.l < 0:

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import (block_layout, commutator, is_even, number_sectors, opnorm_mat,
-                   sector_blocks)
+from .fock import (BlockLayout, commutator, is_even, number_sectors, opnorm_mat,
+                   sector_blocks, sector_layout, whole_layout)
 
 CONDITIONING_LIMIT = 1e12
 
@@ -104,10 +104,10 @@ class SpectralData:
         if (support.sum(axis=0) != 1).any():
             return None
         cols = [np.flatnonzero(row) for row in support]
-        eig_grids, eig_off = block_layout(cols)
+        eig = BlockLayout(cols)
         per_sector = tuple((np.ix_(idx, idx), eix, self.eigenvectors[np.ix_(idx, c)])
-                           for idx, c, eix in zip(sectors, cols, eig_grids))
-        return per_sector, eig_off
+                           for idx, c, eix in zip(sectors, cols, eig.grids))
+        return per_sector, eig.off
 
     def to_eigenbasis(self, mat: np.ndarray) -> np.ndarray:
         u = self.eigenvectors
@@ -252,34 +252,45 @@ def _expm_herm(h: np.ndarray, dt: float) -> np.ndarray:
 SECTOR_STEP_MIN_DIM = 64
 
 
-def step_unitary(h_of_t: Callable[[float], np.ndarray], t: float, dt: float) -> np.ndarray:
+def drive_layout(h0: np.ndarray, rho0: np.ndarray) -> BlockLayout:
+    """The layout evolve runs a drive H(t) = H0 + W_t from rho0 on, where
+    W_t conserves the particle number by construction (a bond scatter): the
+    number sectors from dim SECTOR_STEP_MIN_DIM on when H0 and rho0 are
+    exactly zero off them, else the whole space as one block.  This is the
+    drive's one sector decision; no step scans for exact zeros."""
+    layout = sector_layout(h0) if len(h0) >= SECTOR_STEP_MIN_DIM else None
+    if layout is None or sector_layout(rho0) is not layout:
+        return whole_layout(len(h0))
+    return layout
+
+
+def step_unitary(h_of_t: Callable[[float], tuple], t: float, dt: float) -> tuple:
     """Fourth-order commutator-free step U(t + dt, t) for i d/dt psi = H(t) psi.
 
-    From dim SECTOR_STEP_MIN_DIM on, both exponentials are taken block by
-    block over the number sectors when the generators conserve particle
-    number; U is then exactly zero off the blocks.
+    h_of_t(t) returns H(t) as a tuple of diagonal blocks (the number sectors
+    of a number-conserving drive, or the whole space as one block); the step
+    is the tuple of U's blocks, each the product of the two exponentials of
+    its block.  Nothing is scanned: the caller chose the blocks.
     """
     h1 = h_of_t(t + _CF4_C[0] * dt)
     h2 = h_of_t(t + _CF4_C[1] * dt)
     a1, a2 = _CF4_A
-    g1, g2 = a1 * h1 + a2 * h2, a2 * h1 + a1 * h2
-    grids = sector_blocks(g1) if len(g1) >= SECTOR_STEP_MIN_DIM else None
-    if grids is None or sector_blocks(g2) is None:
-        grids = [(slice(None), slice(None))]  # small or not number-conserving: one block
-    u = np.zeros(g1.shape, dtype=complex)
-    for ix in grids:
-        u[ix] = _expm_herm(g1[ix], dt) @ _expm_herm(g2[ix], dt)
-    return u
+    return tuple(_expm_herm(a1 * b1 + a2 * b2, dt) @ _expm_herm(a2 * b1 + a1 * b2, dt)
+                 for b1, b2 in zip(h1, h2))
 
 
 def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: float,
            observe: Callable[[float, np.ndarray], object],
-           free_after: tuple[float, SpectralData] | None = None) -> list:
+           free_after: tuple[float, SpectralData] | None = None,
+           layout: BlockLayout | None = None) -> list:
     """Drive rho0 with H(t) = h_of_t(t) and return [observe(t, rho_t) for t in grid].
 
-    Each gap [ta, tb] of the grid is split into the fewest equal steps no longer
-    than dt, so every grid time is hit exactly; rho_t = U rho U^dagger, block
-    by block over the number sectors when both U and rho are exactly zero off them.
+    h_of_t(t) is the dense H(t), or, with a layout (drive_layout), the tuple
+    of H(t)'s blocks over it; rho0 is then exactly zero off those blocks.
+    Each gap [ta, tb] of the grid is split into the fewest equal steps no
+    longer than dt, so every grid time is hit exactly; rho_t = U rho U^dagger
+    block by block, and a dense rho_t is assembled only for observe and for
+    the rotation below.
 
     free_after = (t1, spectral) states that H(t) is the matrix spectral
     diagonalises for every t >= t1.  At the start s of the first gap with
@@ -289,32 +300,31 @@ def evolve(rho0: np.ndarray, h_of_t: Callable[[float], np.ndarray], grid, dt: fl
     steps.
     """
     grid = np.asarray(grid, dtype=float)
-    rho = rho0
-    out = [observe(grid[0], rho)]
+    blocks_of_t = h_of_t
+    if layout is None:
+        layout = whole_layout(len(rho0))
+
+        def blocks_of_t(t):
+            return (h_of_t(t),)
+
+    rho = layout.gather(rho0)
+    out = [observe(grid[0], rho0)]
     free = None  # (spectral, rho_s in its eigenbasis, s)
     for ta, tb in zip(grid[:-1], grid[1:]):
         if free is None and free_after is not None and ta >= free_after[0]:
-            free = free_after[1], free_after[1].to_eigenbasis(rho), ta
+            free = free_after[1], free_after[1].to_eigenbasis(layout.join(rho)), ta
         if free is not None:
             sd, rho_eig, s = free
             phase = np.exp(-1j * (tb - s) * sd.eigenvalues)
-            rho = sd.from_eigenbasis(phase[:, None] * rho_eig * phase.conj()[None, :])
-            out.append(observe(tb, rho))
+            out.append(observe(tb, sd.from_eigenbasis(
+                phase[:, None] * rho_eig * phase.conj()[None, :])))
             continue
         n = max(1, int(np.ceil((tb - ta) / dt - 1e-12)))
         step = (tb - ta) / n
         for j in range(n):
-            u = step_unitary(h_of_t, ta + j * step, step)
-            grids = sector_blocks(u)
-            if grids is None or sector_blocks(rho) is None:
-                rho = u @ rho @ u.conj().T
-            else:
-                rho_next = np.zeros(rho.shape, dtype=np.result_type(u, rho))
-                for ix in grids:
-                    uk = u[ix]
-                    rho_next[ix] = uk @ rho[ix] @ uk.conj().T
-                rho = rho_next
-        out.append(observe(tb, rho))
+            u = step_unitary(blocks_of_t, ta + j * step, step)
+            rho = tuple(uk @ rk @ uk.conj().T for uk, rk in zip(u, rho))
+        out.append(observe(tb, layout.join(rho)))
     return out
 
 

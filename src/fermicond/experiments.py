@@ -378,7 +378,7 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
     t_grid = cfg.run.times()
     worst_kms = worst_zero = worst_sym = worst_rt = 0.0
     codomain_ok = True
-    worst_work = 0.0
+    worst_work = np.inf  # the least L over the small members
     for sysd in _battery_systems(cfg):
         k = sysd["kernel"]
         for _ in range(3):

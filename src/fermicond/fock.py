@@ -10,8 +10,10 @@ Even operators are assembled from the occupation bits of the basis index
 instead: a_x^* a_y is a signed partial permutation (FockRep.hop) and number
 operators are diagonals.  The string matrices stay as the algebra's oracle.
 
-Every many-body operator is a plain dim x dim complex ndarray.  Fermionic
-parity is not carried along as a label; is_even reads it off the entries.
+Every many-body operator is a plain dim x dim complex ndarray; the driven
+propagator alone holds number-conserving ones as the tuple of their sector
+blocks (BlockLayout) while it steps.  Fermionic parity is not carried along
+as a label; is_even reads it off the entries.
 """
 
 from __future__ import annotations
@@ -79,39 +81,100 @@ def number_sectors(dim: int) -> tuple[np.ndarray, ...]:
     return sectors
 
 
-def block_layout(groups) -> tuple[tuple, np.ndarray]:
-    """np.ix_ grids of the diagonal blocks spanned by disjoint index groups and
-    the read-only mask of the entries off those blocks."""
-    dim = sum(len(idx) for idx in groups)
-    grids = tuple(np.ix_(idx, idx) for idx in groups)
-    off = np.ones((dim, dim), dtype=bool)
-    for ix in grids:
-        off[ix] = False
-    off.flags.writeable = False  # shared by every caller through the caches
-    return grids, off
+class BlockLayout:
+    """Diagonal blocks over disjoint groups of basis states that cover the
+    space, each group in ascending order: the number sectors, or the whole
+    space as one block.
+
+    An operator that is exactly zero off the blocks is held as the tuple of
+    its blocks in group order (gather; join is the inverse).  flat() places
+    an entry in one buffer whose consecutive slices are the blocks (split),
+    so one scatter fills every block at once; for the one block the buffer
+    is the dense matrix in row-major order and gather and join copy nothing.
+    """
+
+    def __init__(self, groups):
+        self.groups = tuple(groups)
+        self.grids = tuple(np.ix_(idx, idx) for idx in self.groups)
+        self.dim = sum(len(idx) for idx in self.groups)
+        sizes = [len(idx) for idx in self.groups]
+        self._bounds = np.cumsum([0] + [n * n for n in sizes])
+        self.size = int(self._bounds[-1])
+        # per basis state: its block's start in the buffer, the block's size
+        # and the state's position in its group
+        start, width, local = (np.empty(self.dim, dtype=np.intp) for _ in range(3))
+        for idx, lo, n in zip(self.groups, self._bounds, sizes):
+            start[idx], width[idx], local[idx] = lo, n, np.arange(n)
+        self._place = start, width, local
+
+    @cached_property
+    def off(self) -> np.ndarray:
+        """Read-only mask of the entries off the blocks."""
+        off = np.ones((self.dim, self.dim), dtype=bool)
+        for ix in self.grids:
+            off[ix] = False
+        off.flags.writeable = False  # shared by every caller through the caches
+        return off
+
+    def flat(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Buffer positions of the entries (rows, cols); each pair lies in one block."""
+        start, width, local = self._place
+        return start[cols] + local[rows] * width[cols] + local[cols]
+
+    def split(self, buf: np.ndarray) -> tuple:
+        """The blocks of a flat buffer, as views."""
+        return tuple(buf[lo:hi].reshape(len(idx), len(idx))
+                     for idx, lo, hi in zip(self.groups, self._bounds, self._bounds[1:]))
+
+    def gather(self, m: np.ndarray) -> tuple:
+        """The blocks of a dense matrix (copies, except for the one block)."""
+        return (m,) if len(self.grids) == 1 else tuple(m[ix] for ix in self.grids)
+
+    def join(self, blocks) -> np.ndarray:
+        """The dense matrix of the blocks, exactly zero off them."""
+        if len(blocks) == 1:
+            return blocks[0]
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*blocks))
+        for ix, b in zip(self.grids, blocks):
+            out[ix] = b
+        return out
 
 
 @cache
-def _sector_layout(dim: int) -> tuple[tuple, np.ndarray] | None:
+def whole_layout(dim: int) -> BlockLayout:
+    """The whole space as one block: the dense route."""
+    return BlockLayout((np.arange(dim),))
+
+
+@cache
+def _sector_layout(dim: int) -> BlockLayout | None:
     sectors = number_sectors(dim)
-    return block_layout(sectors) if len(sectors) > 1 else None
+    return BlockLayout(sectors) if len(sectors) > 1 else None
 
 
-def sector_blocks(m: np.ndarray) -> tuple | None:
-    """np.ix_ grids of the particle-number sectors if m is exactly zero off
+def sector_layout(m: np.ndarray) -> BlockLayout | None:
+    """The layout of the particle-number sectors if m is exactly zero off
     them, else None (also for a dim that is not a power of 2, or one sector).
 
     H, W_t, bond observables, Gibbs data and their products are exactly zero
-    off the sectors, so their eigenproblems, basis changes, norms and
-    commutators split into independent blocks (the symmetry-block idiom of
-    exact diagonalisation, cf. Weinberg & Bukov, SciPost Phys. 2, 003 (2017)).
+    off the sectors, so their eigenproblems, basis changes, norms,
+    commutators and propagators split into independent blocks (the
+    symmetry-block idiom of exact diagonalisation, cf. Weinberg & Bukov,
+    SciPost Phys. 2, 003 (2017)).
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return None
     layout = _sector_layout(m.shape[0])
-    if layout is None or m[layout[1]].any():
+    if layout is None or m[layout.off].any():
         return None
-    return layout[0]
+    return layout
+
+
+def sector_blocks(m: np.ndarray) -> tuple | None:
+    """np.ix_ grids of the particle-number sectors if m is exactly zero off
+    them (see sector_layout), else None."""
+    layout = sector_layout(m)
+    return None if layout is None else layout.grids
 
 
 def is_even(m: np.ndarray) -> bool:
@@ -135,6 +198,7 @@ class FockRep:
         self.dim = 2 ** self.n_sites
         self.site_index = {s: i for i, s in enumerate(self.site_order)}
         self._hops: dict = {}  # (x, y) -> read-only hop triple
+        self._plans: dict = {}  # (pairs, layout) -> read-only scatter plan
 
     @classmethod
     def of_box(cls, box, cap: int = DEFAULT_SITE_CAP) -> "FockRep":
@@ -186,6 +250,32 @@ class FockRep:
         if triple is None:
             triple = self._hops[(x, y)] = self._build_hop(self.mode(x), self.mode(y))
         return triple
+
+    def scatter_plan(self, pairs, layout: BlockLayout) -> tuple[np.ndarray, ...]:
+        """(positions, signs, counts) that scatter sum_(x, y) (f a_x^* a_y +
+        g a_y^* a_x) over distinct pairs x != y into layout's flat buffer,
+        built once per (pairs, layout) and representation.
+
+        Per pair, the entries of a_x^* a_y come first and then those of
+        a_y^* a_x (the hop triple transposed); counts holds the length of
+        each of those runs, so the values are repeat([f1, g1, f2, ...],
+        counts) * signs.  a_x^* a_y conserves N, so every entry lies in one
+        number sector.
+        """
+        key = (tuple(pairs), layout)
+        plan = self._plans.get(key)
+        if plan is None:
+            positions, signs, counts = [np.empty(0, dtype=np.intp)], [np.empty(0)], []
+            for x, y in key[0]:
+                rows, cols, sgn = self.hop(x, y)
+                positions += [layout.flat(rows, cols), layout.flat(cols, rows)]
+                signs += [sgn, sgn]
+                counts += [len(sgn), len(sgn)]
+            plan = np.concatenate(positions), np.concatenate(signs), np.array(counts, dtype=np.intp)
+            for arr in plan:
+                arr.flags.writeable = False  # shared by every caller through the memo
+            self._plans[key] = plan
+        return plan
 
     def _build_hop(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = self._states

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, evolve, free_after_pulse
+    _uniform_step, drive_layout, evolve, free_after_pulse
 from .fock import FockRep
 from .lattice import Box
 from .model import (FlatPulse, InterparticleInteraction, build_hamiltonian, build_w,
@@ -76,15 +76,9 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip)
     e_h0 = state.expect(h0).real
 
-    def w_mat(t):
-        return build_w(rep, box, omega, theta, a_scaled, t)
-
-    def h_of_t(t):
-        return h0 + w_mat(t)
-
     def observe(t, rho):
-        wt = w_mat(t)
-        e_wt = state.expect(wt).real
+        wt = build_w(rep, box, omega, theta, a_scaled, t)
+        e_wt = 0.0 if a_scaled.is_off(t) else state.expect(wt).real  # W_t = 0 off the pulse
         return (np.einsum("ij,ji->", rho, h0).real - e_h0,  # S
                 np.einsum("ij,ji->", rho, wt).real,  # P
                 # Ip by an independent route, for the balance check S + P = Ip + Id
@@ -94,9 +88,17 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     if eta == 0.0:
         S, P, Ip, Id = np.zeros((4, len(times)))
     else:
+        rho0 = state.density
+        layout = drive_layout(h0, rho0)
+        h0_blocks = layout.gather(h0)
+
+        def h_of_t(t):
+            w = build_w(rep, box, omega, theta, a_scaled, t, layout)
+            return tuple(hk + wk for hk, wk in zip(h0_blocks, w))
+
         free = free_after_pulse(a_scaled.t1, state.spectral, h0)
-        S, P, Ip, Id = map(np.array, zip(*evolve(state.density, h_of_t, times, dt, observe,
-                                                 free)))
+        S, P, Ip, Id = map(np.array, zip(*evolve(rho0, h_of_t, times, dt, observe, free,
+                                                 layout)))
     prov = {"eta": eta, "l": l, "d": box.dim, "beta": state.beta, "theta": theta,
             "lambda": lam}
     return EnergyTrace(times, S, P, Ip, Id, eta, l, prov)

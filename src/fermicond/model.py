@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fock import FockRep
+from .fock import BlockLayout, FockRep, whole_layout
 from .lattice import Box, DisorderSample, Site
 
 
@@ -399,19 +399,21 @@ def _hopping_entry(box: Box, omega: DisorderSample, theta: float, x: Site, y: Si
 
 
 def _scatter_bonds(rep: FockRep, box: Box, bonds, omega: DisorderSample, theta: float,
-                   pair: Callable[[tuple, complex], tuple[complex, complex]]) -> np.ndarray:
+                   pair: Callable[[tuple, complex], tuple[complex, complex]],
+                   layout: BlockLayout | None = None):
     """sum_b (f a_x1^* a_x2 + g a_x2^* a_x1) with (f, g) = pair(b, c_b), scattered
-    from the hop triples into the flat matrix (one index array per scatter);
-    distinct bonds have disjoint supports, so the sum holds exactly the
-    entries of the single-bond matrices."""
-    n = rep.dim
-    m = np.zeros(n * n, dtype=complex)
-    for x1, x2 in bonds:
-        f, g = pair((x1, x2), _hopping_entry(box, omega, theta, x1, x2))
-        rows, cols, signs = rep.hop(x1, x2)
-        m[rows * n + cols] += f * signs
-        m[cols * n + rows] += g * signs
-    return m.reshape(n, n)
+    from the hop triples with one index array (rep.scatter_plan); distinct
+    bonds have disjoint supports, so the sum holds exactly the entries of the
+    single-bond matrices.  The dense matrix, or with a layout the tuple of
+    its blocks over it (a bond sum conserves the particle number)."""
+    target = whole_layout(rep.dim) if layout is None else layout
+    positions, signs, counts = rep.scatter_plan(bonds, target)
+    fg = np.array([pair(b, _hopping_entry(box, omega, theta, *b)) for b in bonds],
+                  dtype=complex).reshape(-1)  # f1, g1, f2, g2, ...
+    buf = np.zeros(target.size, dtype=complex)
+    buf[positions] += np.repeat(fg, counts) * signs
+    blocks = target.split(buf)
+    return blocks[0] if layout is None else blocks
 
 
 def _quadratic(rep: FockRep, box: Box, one_particle: np.ndarray) -> np.ndarray:
@@ -449,13 +451,16 @@ def build_hamiltonian(rep: FockRep, box: Box, omega: DisorderSample, theta: floa
 
 
 def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
-            a: FlatPulse, t: float) -> np.ndarray:
+            a: FlatPulse, t: float, layout: BlockLayout | None = None):
     """W_t = sum <e_x,(Delta^A - Delta) e_y> a_x* a_y; zero outside [t0, t1].
 
     Only bond entries carry a Peierls phase, so W_t is the bond sum of
-    (c e^{i phi} - c) a_x* a_y + h.c. with c = <e_x, Delta e_y>."""
+    (c e^{i phi} - c) a_x* a_y + h.c. with c = <e_x, Delta e_y>.  Dense, or
+    with a layout the tuple of W_t's blocks over it, scattered straight into
+    them: W_t conserves the particle number."""
     if a.is_off(t):
-        return rep.zero()
+        zero = rep.zero()
+        return zero if layout is None else layout.gather(zero)
     amp = a.amplitude(t)
 
     def pair(bond, c):
@@ -463,7 +468,7 @@ def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
         cp = c * np.exp(1j * (float(np.dot(amp, dx)) * frac))  # = bond_phase(a, t, *bond)
         return cp - c, np.conj(cp) - np.conj(c)
 
-    return _scatter_bonds(rep, box, box.bonds, omega, theta, pair)
+    return _scatter_bonds(rep, box, box.bonds, omega, theta, pair, layout)
 
 
 def w_time_derivative(rep: FockRep, box: Box, omega: DisorderSample, theta: float,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, duhamel_pair_eig, evolve, free_after_pulse
+    _uniform_step, drive_layout, duhamel_pair_eig, evolve, free_after_pulse
 from .fock import FockRep
 from .lattice import Box, DisorderSample, Site, shift
 from .model import FlatPulse, NotABondError, _scatter_bonds, bond_phase, \
@@ -301,15 +301,20 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     if eta == 0.0:
         return CurrentDensityTrace(times, j_th, np.zeros((len(times), box.dim)), 0.0)
 
+    rho0 = state.density
+    layout = drive_layout(h0, rho0)
+    h0_blocks = layout.gather(h0)
+
     def h_of_t(t):
-        return h0 + build_w(rep, box, omega, theta, a_scaled, t)
+        w = build_w(rep, box, omega, theta, a_scaled, t, layout)
+        return tuple(hk + wk for hk, wk in zip(h0_blocks, w))
 
     def observe(t, rho):
         return [np.einsum("ij,ji->", rho, op).real / vol - jt
                 for op, jt in zip(para_ops, j_th)]
 
-    j_p = np.array(evolve(state.density, h_of_t, times, dt, observe,
-                          free_after_pulse(a_scaled.t1, state.spectral, h0)))
+    j_p = np.array(evolve(rho0, h_of_t, times, dt, observe,
+                          free_after_pulse(a_scaled.t1, state.spectral, h0), layout))
     return CurrentDensityTrace(times, j_th, j_p, eta)
 
 

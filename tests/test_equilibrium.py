@@ -4,12 +4,13 @@ from scipy.linalg import expm
 
 from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
                                    GibbsState, OverlappingSupportsError,
-                                   SpectralData, StepSizeError, duhamel, evolve,
+                                   SpectralData, StepSizeError, drive_layout, duhamel,
+                                   evolve,
                                    gibbs, heisenberg, imaginary_time,
                                    lieb_robinson_check, richardson_drive_check,
                                    step_unitary, work_functional, _CF4_A, _CF4_C,
                                    _simpson_weights)
-from fermicond.fock import opnorm_mat
+from fermicond.fock import opnorm_mat, sector_blocks
 from fermicond.model import (DecayFunction, InterparticleInteraction, build_w, flat_pulse,
                              full_interaction_norm, rescale)
 
@@ -270,7 +271,7 @@ def test_propagator_composition():
         return h0 * (1.0 + 0.2 * np.sin(t))
 
     for j in range(20):
-        u = step_unitary(h_of_t, 0.05 * j, 0.05)
+        (u,) = step_unitary(lambda s: (h_of_t(s),), 0.05 * j, 0.05)  # one block
         assert np.linalg.norm(u @ u.conj().T - np.eye(len(u)), 2) <= 1e-12
     rho0 = sys["state"].density
     full = evolve(rho0, h_of_t, [0.0, 1.0], 0.05, _keep)[-1]
@@ -318,16 +319,23 @@ def test_richardson_check(rng):
 # -- number-sector steps --------------------------------------------------------
 
 def _hubbard_drive(n_sites=6):
-    """A disordered Hubbard chain and its generator t -> H + W_t."""
+    """A disordered Hubbard chain, its generator t -> H + W_t, and the layout
+    and block generator a driven caller runs it on."""
     sys = make_system(n_sites, "iid-uniform", seed=31, theta=0.3, lam=1.0,
                       ip=InterparticleInteraction("hubbard", U=1.0))
     a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=float(n_sites)), 2.0, 0.4)
+    args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], a)
 
     def h_of_t(t):
-        return sys["h"] + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
-                                      a, t)
+        return sys["h"] + build_w(*args, t)
 
-    return sys, h_of_t
+    layout = drive_layout(sys["h"], sys["state"].density)
+    h_blocks = layout.gather(sys["h"])
+
+    def blocks_of_t(t):
+        return tuple(hk + wk for hk, wk in zip(h_blocks, build_w(*args, t, layout)))
+
+    return sys, h_of_t, layout, blocks_of_t
 
 
 def _dense_cf4(h_of_t, t, dt):
@@ -343,17 +351,18 @@ def _off_sector(dim):
 
 
 def test_sector_step_matches_dense_exponentials():
-    sys, h_of_t = _hubbard_drive()
+    sys, h_of_t, layout, blocks_of_t = _hubbard_drive()
+    assert len(layout.groups) == 7  # the number sectors of 6 sites
     t, dt = 0.4, 0.05
     assert np.any(h_of_t(t) != sys["h"])  # the field is on
-    u = step_unitary(h_of_t, t, dt)
+    u = layout.join(step_unitary(blocks_of_t, t, dt))
     assert np.abs(u - _dense_cf4(h_of_t, t, dt)).max() <= 1e-12
     assert not np.any(u[_off_sector(len(u))])
     assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
 
 
 def test_sector_step_falls_back_for_off_sector_terms():
-    sys, h_of_t = _hubbard_drive()
+    sys, h_of_t, _, _ = _hubbard_drive()
     x = sys["rep"].site_order[2]
     a = sys["rep"].annihilator(x)
     odd = 0.3 * (a + a.conj().T)  # changes the particle number by one
@@ -362,17 +371,19 @@ def test_sector_step_falls_back_for_off_sector_terms():
         return h_of_t(t) + odd
 
     t, dt = 0.4, 0.05
-    u = step_unitary(h_mixed, t, dt)
+    assert sector_blocks(h_mixed(t)) is None  # its callers take the one block
+    (u,) = step_unitary(lambda s: (h_mixed(s),), t, dt)
     assert np.abs(u - _dense_cf4(h_mixed, t, dt)).max() <= 1e-12
     assert np.any(u[_off_sector(len(u))])
 
 
 def test_sector_evolve_conserves_trace_and_matches_dense():
-    sys, h_of_t = _hubbard_drive()
+    sys, h_of_t, layout, blocks_of_t = _hubbard_drive()
     rho0 = sys["state"].density
     grid = np.linspace(0.0, 1.2, 7)
     dt = 0.05
-    rhos = evolve(rho0, h_of_t, grid, dt, _keep)
+    rhos = evolve(rho0, blocks_of_t, grid, dt, _keep, layout=layout)
+    assert not any(np.any(rho[_off_sector(len(rho))]) for rho in rhos)
     ref = rho0
     for k, (ta, tb) in enumerate(zip(grid[:-1], grid[1:])):
         n = int(np.ceil((tb - ta) / dt - 1e-12))

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -87,6 +88,10 @@ def test_config_field_level_errors(tmp_path):
     ({"model.interaction": "density-density", "model.U": 1.0, "model.range": 6},
      "model.range"),  # beyond the 4-site box's extent of 5
     ({"disorder.kind": "iid-uniform", "disorder.seed": -1}, "disorder.seed"),
+    # these three ended in a traceback (TypeError, ZeroDivisionError) and exit 1
+    ({"disorder.kind": "iid-uniform", "disorder.seed": 1.5}, "disorder.seed"),
+    ({"model.sites": 4.5}, "model.sites"),
+    ({"model.d": 2, "model.sites": None, "model.shape": [2, -3]}, "model.shape"),
 ])
 def test_config_rejects_what_would_crash_the_run(tmp_path, capsys, overrides, key):
     p = write_config(tmp_path, overrides)
@@ -402,6 +407,11 @@ def test_invariants_experiment(tmp_path, monkeypatch, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     # check name and detail are text; passed is an integer
     assert_plain_csv(tmp_path / "inv" / "invariants.csv", text_columns=(0, 2))
+    # the passivity row reports the least L itself, not min(0, L): a cyclic
+    # drive of a Gibbs state does positive work
+    with open(tmp_path / "inv" / "invariants.csv") as fh:
+        detail = {row[0]: row[2] for row in csv.reader(fh)}["passivity-work-functional"]
+    assert detail.startswith("min L = ") and float(detail.split("=")[1]) > 0
 
 
 def test_registry_complete():

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from fermicond import fock
-from fermicond.equilibrium import (GibbsState, SpectralData, evolve, heisenberg,
-                                   lieb_robinson_check)
+from fermicond.equilibrium import (GibbsState, SpectralData, drive_layout, evolve,
+                                   heisenberg, lieb_robinson_check)
 from fermicond.experiments import DEFAULT_BATTERY
 from fermicond.fock import FockRep, commutator, opnorm_mat, sector_blocks
 from fermicond.lattice import Box, DisorderDistribution, shift
@@ -156,30 +156,117 @@ def test_sector_kernel_atoms(label):
         assert np.abs(getattr(k, name) - getattr(ref, name)).max() <= TOL, name
 
 
-def _drive(sys):
+def _drive(sys, layout=None):
+    """t -> H + W_t for a pulse over the whole chain: dense, or with a layout
+    the tuple of its blocks, as the driven callers build it."""
     a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=6.0), 2.0, 0.4)
-
-    def h_of_t(t):
-        return sys["h"] + build_w(sys["rep"], sys["box"], sys["omega"], sys["theta"],
-                                      a, t)
-
-    return h_of_t
+    args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], a)
+    if layout is None:
+        return lambda t: sys["h"] + build_w(*args, t)
+    h_blocks = layout.gather(sys["h"])
+    return lambda t: tuple(hk + wk for hk, wk in zip(h_blocks, build_w(*args, t, layout)))
 
 
 def test_sector_driven_density_matches_dense():
     sys = _system("N6-th0.5-l1.0-hubbard")
-    h_of_t = _drive(sys)
     grid, dt = np.linspace(0.0, 1.2, 7), 0.05
 
     def keep(t, rho):
         return rho
 
-    rhos = evolve(GibbsState.of(sys["sd"], 1.0).density, h_of_t, grid, dt, keep)
+    rho0 = GibbsState.of(sys["sd"], 1.0).density
+    layout = drive_layout(sys["h"], rho0)
+    assert layout is fock.sector_layout(sys["h"])
+    rhos = evolve(rho0, _drive(sys, layout), grid, dt, keep, layout=layout)
     with dense_route():
-        refs = evolve(GibbsState.of(_oracle(sys), 1.0).density, h_of_t, grid, dt, keep)
+        refs = evolve(GibbsState.of(_oracle(sys), 1.0).density, _drive(sys), grid, dt, keep)
     for rho, ref in zip(rhos, refs):
         assert sector_blocks(rho) is not None
         assert np.abs(rho - ref).max() <= TOL
+
+
+# -- the in-pulse loop on number-sector blocks, bit for bit ---------------------
+
+def _pulsed_chain(n_sites):
+    """The drive workload's kind of system: an interacting disordered chain
+    at beta = 1 and a pulse over every bond."""
+    box = Box.chain(n_sites)
+    rep = FockRep.of_box(box)
+    omega = DisorderDistribution("iid-uniform", 11).sample(box)
+    ip = InterparticleInteraction("density-density", U=1.0, v=lambda r: 1.0, range_=1)
+    h = build_hamiltonian(rep, box, omega, 0.5, 1.0, ip)
+    state = GibbsState.of(SpectralData.from_hamiltonian(h), 1.0)
+    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), float(n_sites), 0.04)
+    return rep, box, omega, ip, h, state, a
+
+
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_build_w_blocks_join_to_the_dense_scatter(n_sites):
+    rep, box, omega, _, h, _, a = _pulsed_chain(n_sites)
+    layout = fock.sector_layout(h)
+    whole = fock.whole_layout(rep.dim)
+    for t in (0.0, 0.3, 0.5, 1.0):  # off, on, on, off
+        dense = build_w(rep, box, omega, 0.5, a, t)
+        blocks = build_w(rep, box, omega, 0.5, a, t, layout)
+        assert [b.shape for b in blocks] == [(len(g), len(g)) for g in layout.groups]
+        assert np.array_equal(layout.join(blocks), dense)
+        assert np.array_equal(build_w(rep, box, omega, 0.5, a, t, whole)[0], dense)
+
+
+@pytest.mark.parametrize("n_sites", [6, 8])
+def test_block_step_equals_the_dense_generator_step(n_sites):
+    # the step on the blocks is the step the dense generators gave when their
+    # sector blocks were cut out of them: the same eigh inputs, bit for bit
+    from fermicond.equilibrium import _CF4_A, _CF4_C, _expm_herm, step_unitary
+    rep, box, omega, _, h, state, a = _pulsed_chain(n_sites)
+    layout = drive_layout(h, state.density)
+    assert layout is fock.sector_layout(h)
+    h_blocks = layout.gather(h)
+
+    def blocks_of_t(t):
+        return tuple(hk + wk for hk, wk in zip(h_blocks, build_w(rep, box, omega, 0.5, a, t,
+                                                                  layout)))
+
+    (c1, c2), (a1, a2) = _CF4_C, _CF4_A
+    for t, dt in ((0.0, 0.04), (0.37, 0.04), (0.98, 0.03)):
+        h1, h2 = (h + build_w(rep, box, omega, 0.5, a, t + c * dt) for c in (c1, c2))
+        g1, g2 = a1 * h1 + a2 * h2, a2 * h1 + a1 * h2
+        u = step_unitary(blocks_of_t, t, dt)
+        assert len(u) == len(layout.grids)
+        for uk, ix in zip(u, layout.grids):
+            assert np.array_equal(uk, _expm_herm(g1[ix], dt) @ _expm_herm(g2[ix], dt))
+
+
+def test_driven_path_scans_a_fixed_number_of_times(monkeypatch):
+    # the sector decision is made once per drive: no step scans for exact zeros
+    from fermicond import equilibrium
+    from fermicond.joule import energy_increments
+    from fermicond.transport import driven_currents
+    rep, box, omega, ip, h, state, a = _pulsed_chain(6)
+    calls = {"scans": 0, "steps": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    scan = counted("scans", fock.sector_layout)  # every sector_blocks call goes through it
+    monkeypatch.setattr(fock, "sector_layout", scan)
+    monkeypatch.setattr(equilibrium, "sector_layout", scan)
+    monkeypatch.setattr(equilibrium, "step_unitary", counted("steps", equilibrium.step_unitary))
+    base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    times = np.linspace(0.0, 1.5, 16)
+    seen = set()
+    for dt in (0.1, 0.05, 0.02):
+        calls.update(scans=0, steps=0)
+        driven_currents(rep, box, omega, 0.5, 1.0, ip, state, a, 0.04, times, dt)
+        energy_increments(rep, box, omega, 0.5, 1.0, ip, state, base, 0.04, 6.0, times, dt,
+                          warn_margin=False)
+        assert calls["steps"] > 0
+        seen.add((calls["scans"], calls["steps"]))
+    assert len({scans for scans, _ in seen}) == 1
+    assert len({steps for _, steps in seen}) == 3
 
 
 # -- the dense route stays the general case ------------------------------------
