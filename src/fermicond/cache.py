@@ -16,7 +16,7 @@ import numpy as np
 
 from .equilibrium import SpectralData
 
-CACHE_FORMAT_VERSION = 2  # 2: U is built per number sector
+CACHE_FORMAT_VERSION = 3  # 3: U's blocks as one flat buffer, not one dense matrix
 ENV_VAR = "FERMICOND_CACHE_DIR"
 
 
@@ -56,15 +56,19 @@ class SpectralCache:
         if sidecar.read_text().strip() != hashlib.sha256(raw).hexdigest():
             raise CacheCorruptionError(f"{path.name}: checksum mismatch")
         data = np.load(io.BytesIO(raw))
-        return SpectralData(data["eigenvalues"], data["eigenvectors"],
+        sizes = data["block_sizes"]
+        flat = np.split(data["blocks"], np.cumsum(sizes * sizes)[:-1])
+        blocks = tuple(b.reshape(n, n) for b, n in zip(flat, sizes))
+        return SpectralData(data["eigenvalues"], blocks, data["columns"],
                             str(data["source_hash"]))
 
     def put(self, model_hash: str, seed: int, spectral: SpectralData) -> Path:
         path = self._path(model_hash, seed)
         tmp = path.with_suffix(".tmp.npz")
         np.savez(tmp, eigenvalues=spectral.eigenvalues,
-                 eigenvectors=spectral.eigenvectors,
-                 source_hash=np.str_(spectral.source_hash))
+                 blocks=np.concatenate([uk.ravel() for uk in spectral.blocks]),
+                 block_sizes=np.array([len(uk) for uk in spectral.blocks]),
+                 columns=spectral.columns, source_hash=np.str_(spectral.source_hash))
         digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
         sidetmp = path.with_suffix(".tmp.sha256")
         sidetmp.write_text(digest + "\n")

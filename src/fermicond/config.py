@@ -25,9 +25,10 @@ class ConfigError(Exception):
         super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-def _is_integer(v) -> bool:
-    """An int from JSON or the command line; not a bool, not a float such as 4.5."""
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is_a(v, kinds=(int, float)) -> bool:
+    """v is of kinds (a real number by default) as JSON or the command line
+    gives it; a bool is not an int here, and a float such as 4.5 not an int."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
 
 
 @dataclass
@@ -170,13 +171,26 @@ class ExperimentConfig:
         # counts, sizes and seeds: every check and the run below compare and
         # count with them, so a wrong type is reported alone
         counts = {"model.d": m.d, "model.l": m.l, "model.sites": m.sites,
-                  "disorder.seed": dis.seed, "disorder.n_samples": dis.n_samples,
-                  "run.n_times": r.n_times, "run.workers": r.workers}
+                  "model.range": m.range_, "disorder.seed": dis.seed,
+                  "disorder.n_samples": dis.n_samples, "run.n_times": r.n_times,
+                  "run.workers": r.workers}
         e = [f"{key}: must be an integer" for key, v in counts.items()
-             if v is not None and not _is_integer(v)]
+             if v is not None and not _is_a(v, int)]
         if m.shape is not None and not (isinstance(m.shape, list) and len(m.shape) == m.d
-                                        and all(_is_integer(n) and n >= 1 for n in m.shape)):
+                                        and all(_is_a(n, int) and n >= 1 for n in m.shape)):
             e.append(f"model.shape: must list {m.d} integers >= 1")
+        # real-valued parameters and lists of them, likewise: ints or floats (a
+        # nan beta passed every check below and gave an all-zero measure)
+        reals = {"model.theta": m.theta, "model.lambda": m.lam, "model.beta": m.beta,
+                 "model.U": m.U, "model.decay_epsilon": m.decay_epsilon,
+                 "model.decay_sigma": m.decay_sigma, "field.t0": f.t0, "field.t1": f.t1,
+                 "field.halfwidth": f.halfwidth, "field.scale": f.scale,
+                 "run.t_max": r.t_max, "run.dt": r.dt}
+        e += [f"{key}: must be a finite number" for key, v in reals.items()
+              if not (_is_a(v) and math.isfinite(v))]
+        e += [f"{key}: must be a list of numbers" for key, v in
+              (("field.etas", f.etas), ("field.w", f.w))
+              if not (isinstance(v, list) and all(_is_a(x) for x in v))]
         if e:
             return e
         if m.d < 1:

@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import (BlockLayout, commutator, is_even, number_sectors, opnorm_mat,
-                   sector_blocks, sector_layout, whole_layout)
+from .fock import (BlockLayout, commutator, is_even, number_layout, opnorm_mat,
+                   sector_layout, whole_layout)
 
 CONDITIONING_LIMIT = 1e12
 
@@ -43,34 +43,20 @@ def _hash_matrix(m: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
-def _sector_eigh(mat: np.ndarray, grids) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of each number-sector block; eigenvalues in global ascending order
-    (stable sort of the concatenation), U dense with exact zeros off the blocks."""
-    parts = [np.linalg.eigh(mat[ix]) for ix in grids]
-    evals = np.concatenate([e for e, _ in parts])
-    order = np.argsort(evals, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))  # global position of each eigenpair
-    evecs = np.zeros(mat.shape, dtype=np.result_type(*(v for _, v in parts)))
-    start = 0
-    for ix, (_, v) in zip(grids, parts):
-        evecs[ix[0], column[None, start:start + len(v)]] = v
-        start += len(v)
-    return evals[order], evecs
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Eigendecomposition H = U diag(E) U^dagger, eigenvalues ascending.
 
-    When H conserves the particle number, each eigenvector lives in one number
-    sector and U is exactly zero elsewhere; basis changes then run block by
-    block.  A U that mixes sectors (or a dim that is not a power of 2) takes
-    the dense route.
+    U is held as the diagonal blocks eigh returned: one per particle-number
+    sector when H is exactly zero off the sectors, else the whole space as
+    one block (the dense route).  columns holds the eigenvalue position of
+    each block column, block after block.  Basis changes run block by block;
+    a dense U is built only for an operand that mixes sectors.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    columns: np.ndarray
     source_hash: str
 
     @classmethod
@@ -80,52 +66,55 @@ class SpectralData:
         herm_defect = float(np.linalg.norm(h - h.conj().T))
         if herm_defect > 1e-10 * max(1.0, float(np.abs(h).max(initial=0.0))):
             raise DiagonalizationError(f"matrix not self-adjoint (defect {herm_defect})")
-        grids = sector_blocks(h)
+        layout = sector_layout(h) or whole_layout(len(h))
         try:
-            evals, evecs = np.linalg.eigh(h) if grids is None else _sector_eigh(h, grids)
+            parts = [np.linalg.eigh(hk) for hk in layout.gather(h)]
         except np.linalg.LinAlgError as exc:
             raise DiagonalizationError(str(exc)) from exc
-        return cls(evals, evecs, _hash_matrix(h))
+        # one ascending order; the stable sort keeps each block's columns in order
+        evals = np.concatenate([e for e, _ in parts])
+        order = np.argsort(evals, kind="stable")
+        columns = np.empty_like(order)
+        columns[order] = np.arange(len(order))
+        return cls(evals[order], tuple(v for _, v in parts), columns, _hash_matrix(h))
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
     @cached_property
-    def _blocks(self) -> tuple | None:
-        """((Fock-basis grid, eigenbasis grid, U block) per number sector, mask
-        of the eigenbasis entries off the blocks), read off the exact zeros of
-        U; None unless every eigenvector is supported on exactly one sector."""
-        sectors = number_sectors(self.dim)
-        if len(sectors) < 2:
-            return None
-        nonzero = self.eigenvectors != 0
-        support = np.array([nonzero[idx].any(axis=0) for idx in sectors])
-        if (support.sum(axis=0) != 1).any():
-            return None
-        cols = [np.flatnonzero(row) for row in support]
-        eig = BlockLayout(cols)
-        per_sector = tuple((np.ix_(idx, idx), eix, self.eigenvectors[np.ix_(idx, c)])
-                           for idx, c, eix in zip(sectors, cols, eig.grids))
-        return per_sector, eig.off
+    def layout(self) -> BlockLayout:
+        """Fock-basis groups of U's blocks."""
+        return whole_layout(self.dim) if len(self.blocks) == 1 else number_layout(self.dim)
+
+    @cached_property
+    def _eig_layout(self) -> BlockLayout:
+        """Eigenbasis groups of U's blocks: the positions of their columns."""
+        bounds = np.cumsum([len(uk) for uk in self.blocks])[:-1]
+        return BlockLayout(np.split(self.columns, bounds))
+
+    def dense_u(self) -> np.ndarray:
+        """U as one matrix, its blocks placed in exact zeros (built on each call)."""
+        u = np.zeros((self.dim, self.dim), dtype=np.result_type(*self.blocks))
+        for idx, cols, uk in zip(self.layout.groups, self._eig_layout.groups, self.blocks):
+            u[np.ix_(idx, cols)] = uk
+        return u
 
     def to_eigenbasis(self, mat: np.ndarray) -> np.ndarray:
-        u = self.eigenvectors
-        blocks = self._blocks
-        if blocks is None or sector_blocks(mat) is None:
+        if sector_layout(mat) is not self.layout:  # never the one block's layout
+            u = self.dense_u()
             return u.conj().T @ mat @ u
-        out = np.zeros(mat.shape, dtype=np.result_type(mat, u))
-        for fix, eix, uk in blocks[0]:
+        out = np.zeros(mat.shape, dtype=np.result_type(mat, *self.blocks))
+        for fix, eix, uk in zip(self.layout.grids, self._eig_layout.grids, self.blocks):
             out[eix] = uk.conj().T @ mat[fix] @ uk
         return out
 
     def from_eigenbasis(self, mat: np.ndarray) -> np.ndarray:
-        u = self.eigenvectors
-        blocks = self._blocks
-        if blocks is None or mat[blocks[1]].any():
+        if mat[self._eig_layout.off].any():
+            u = self.dense_u()
             return u @ mat @ u.conj().T
-        out = np.zeros(mat.shape, dtype=np.result_type(mat, u))
-        for fix, eix, uk in blocks[0]:
+        out = np.zeros(mat.shape, dtype=np.result_type(mat, *self.blocks))
+        for fix, eix, uk in zip(self.layout.grids, self._eig_layout.grids, self.blocks):
             out[fix] = uk @ mat[eix] @ uk.conj().T
         return out
 

@@ -11,9 +11,9 @@ instead: a_x^* a_y is a signed partial permutation (FockRep.hop) and number
 operators are diagonals.  The string matrices stay as the algebra's oracle.
 
 Every many-body operator is a plain dim x dim complex ndarray; the driven
-propagator alone holds number-conserving ones as the tuple of their sector
-blocks (BlockLayout) while it steps.  Fermionic parity is not carried along
-as a label; is_even reads it off the entries.
+propagator (while it steps) and SpectralData's U hold number-conserving ones
+as the tuple of their sector blocks (BlockLayout).  Fermionic parity is not
+carried along as a label; is_even reads it off the entries.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[A, B], block by block over the number sectors when both conserve N."""
     if a.shape != b.shape:
         raise ValueError(f"operator shapes differ: {a.shape} != {b.shape}")
-    grids = sector_blocks(a)
-    if grids is None or sector_blocks(b) is None:
+    layout = sector_layout(a)
+    if layout is None or sector_layout(b) is None:
         return a @ b - b @ a
     out = np.zeros(a.shape, dtype=complex)
-    for ix in grids:
+    for ix in layout.grids:
         ak, bk = a[ix], b[ix]
         out[ix] = ak @ bk - bk @ ak
     return out
@@ -60,10 +60,10 @@ def opnorm_mat(m: np.ndarray) -> float:
     zero off the number sectors has the largest of its block norms (exact)."""
     if m.size == 0:
         return 0.0
-    grids = sector_blocks(m)
-    if grids is None:
+    layout = sector_layout(m)
+    if layout is None:
         return float(np.linalg.norm(m, 2))
-    return max(float(np.linalg.norm(m[ix], 2)) for ix in grids)
+    return max(float(np.linalg.norm(m[ix], 2)) for ix in layout.grids)
 
 
 @cache
@@ -147,7 +147,8 @@ def whole_layout(dim: int) -> BlockLayout:
 
 
 @cache
-def _sector_layout(dim: int) -> BlockLayout | None:
+def number_layout(dim: int) -> BlockLayout | None:
+    """The particle-number sectors as a layout; None if there is only one."""
     sectors = number_sectors(dim)
     return BlockLayout(sectors) if len(sectors) > 1 else None
 
@@ -164,17 +165,10 @@ def sector_layout(m: np.ndarray) -> BlockLayout | None:
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return None
-    layout = _sector_layout(m.shape[0])
+    layout = number_layout(m.shape[0])
     if layout is None or m[layout.off].any():
         return None
     return layout
-
-
-def sector_blocks(m: np.ndarray) -> tuple | None:
-    """np.ix_ grids of the particle-number sectors if m is exactly zero off
-    them (see sector_layout), else None."""
-    layout = sector_layout(m)
-    return None if layout is None else layout.grids
 
 
 def is_even(m: np.ndarray) -> bool:
@@ -311,17 +305,15 @@ class FockRep:
         """(-1)^N as a diagonal matrix."""
         return np.diag((1.0 - 2.0 * (np.bitwise_count(self._states) & 1)).astype(complex))
 
-    def parity_of(self, mat: np.ndarray, tol: float = 1e-12) -> str:
-        """Classify a matrix as even/odd/mixed against (-1)^N."""
-        p = self.parity_operator()
-        scale = max(1.0, opnorm_mat(mat))
-        comm = opnorm_mat(mat @ p - p @ mat)
-        anti = opnorm_mat(mat @ p + p @ mat)
-        if comm <= tol * scale:
+    def parity_of(self, mat: np.ndarray) -> str:
+        """Classify a matrix as even/odd/mixed against (-1)^N, read off the
+        entries as is_even does: odd is exactly zero between basis states of
+        equal number parity."""
+        odd = np.bitwise_count(self._states) & 1
+        flip = odd[:, None] != odd[None, :]
+        if not mat[flip].any():
             return "even"
-        if anti <= tol * scale:
-            return "odd"
-        return "mixed"
+        return "odd" if not mat[~flip].any() else "mixed"
 
 
 def bilinear(rep: FockRep, x, y, c: complex) -> np.ndarray:

@@ -10,7 +10,7 @@ from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
                                    lieb_robinson_check, richardson_drive_check,
                                    step_unitary, work_functional, _CF4_A, _CF4_C,
                                    _simpson_weights)
-from fermicond.fock import opnorm_mat, sector_blocks
+from fermicond.fock import opnorm_mat, sector_layout
 from fermicond.model import (DecayFunction, InterparticleInteraction, build_w, flat_pulse,
                              full_interaction_norm, rescale)
 
@@ -20,7 +20,7 @@ from conftest import make_system, nn_interaction, random_local
 def test_spectral_data_verify():
     sys = make_system(4, "iid-uniform", seed=2, theta=0.3, lam=0.7)
     assert sys["spectral"].verify(sys["h"])
-    u = sys["spectral"].eigenvectors
+    u = sys["spectral"].dense_u()
     assert np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2) <= 1e-12
     assert np.all(np.diff(sys["spectral"].eigenvalues) >= 0)
 
@@ -66,7 +66,7 @@ def test_gibbs_ground_state_projector():
     e = sys["spectral"].eigenvalues
     gap = e[1] - e[0]
     st = GibbsState.of(sys["spectral"], 50.0 / gap)
-    g = sys["spectral"].eigenvectors[:, 0]
+    g = sys["spectral"].dense_u()[:, 0]
     fidelity = float(np.real(g.conj() @ st.density @ g))
     assert fidelity > 1 - 1e-8
 
@@ -371,7 +371,7 @@ def test_sector_step_falls_back_for_off_sector_terms():
         return h_of_t(t) + odd
 
     t, dt = 0.4, 0.05
-    assert sector_blocks(h_mixed(t)) is None  # its callers take the one block
+    assert sector_layout(h_mixed(t)) is None  # its callers take the one block
     (u,) = step_unitary(lambda s: (h_mixed(s),), t, dt)
     assert np.abs(u - _dense_cf4(h_mixed, t, dt)).max() <= 1e-12
     assert np.any(u[_off_sector(len(u))])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from fermicond import cache as cache_module
+from fermicond import fock
 from fermicond.cache import CacheCorruptionError, CacheCorruptionWarning, SpectralCache
 from fermicond.cli import main
 from fermicond.config import ConfigError, ExperimentConfig
@@ -103,6 +105,27 @@ def test_config_rejects_what_would_crash_the_run(tmp_path, capsys, overrides, ke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    # each ended in a TypeError traceback and exit 1, in validation or in the run;
+    # a nan beta ran to exit 0 with an all-zero measure
+    {"model.theta": "0.5"}, {"model.beta": [1]}, {"field.etas": ["0.02", "0.04"]},
+    {"field.w": ["1"]}, {"field.halfwidth": None}, {"run.t_max": "10"}, {"run.dt": None},
+    {"model.U": "1", "model.interaction": "hubbard"},
+    {"model.lambda": True}, {"model.beta": float("nan")}, {"field.t1": float("inf")},
+    {"model.range": "1", "model.interaction": "density-density", "model.U": 1.0},
+], ids=lambda o: "{}={!r}".format(*next(iter(o.items()))))
+def test_config_rejects_non_numbers(tmp_path, capsys, overrides):
+    key = next(iter(overrides))
+    p = write_config(tmp_path, overrides)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.load(p)
+    assert len(err.value.errors) == 1 and err.value.errors[0].startswith(key), err.value.errors
+    assert main(["validate-config", str(p)]) == 2
+    assert key in capsys.readouterr().err
+    assert main(["run", "measure", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag, value, key", [("--seed", "-1", "disorder.seed"),
                                               ("--workers", "0", "run.workers")])
 def test_cli_overrides_are_validated(tmp_path, monkeypatch, capsys, flag, value, key):
@@ -170,6 +193,34 @@ def test_cache_returns_the_entry_it_verified(tmp_path, monkeypatch):
     assert not swapped.exists() and path.exists()  # the swap did happen
 
 
+def _assert_same_spectral(a, b):
+    """Bit-identical eigenvalues, U blocks, column positions and source hash."""
+    assert np.array_equal(a.eigenvalues, b.eigenvalues)
+    assert len(a.blocks) == len(b.blocks)
+    assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+    assert np.array_equal(a.columns, b.columns)
+    assert a.source_hash == b.source_hash
+
+
+def test_cache_round_trips_the_blocks(tmp_path):
+    # the sector blocks of an interacting chain, and the one block of an H
+    # that changes the particle number
+    cfg = ExperimentConfig.from_dict(BASE_CONFIG)
+    cfg.model.interaction, cfg.model.U, cfg.model.theta = "hubbard", 1.0, 0.5
+    cfg.disorder.kind = "iid-uniform"
+    system = build_system(cfg, 0, use_cache=False)
+    h = build_hamiltonian(system.rep, system.box, system.omega, 0.5, 0.0, cfg.model.ip())
+    a = system.rep.annihilator(system.box.sites[1])
+    cache = SpectralCache(str(tmp_path / "cache"))
+    for seed, mat in enumerate((h, h + 0.3 * (a + a.conj().T))):
+        sd = SpectralData.from_hamiltonian(mat)
+        cache.put("abc", seed, sd)
+        back = cache.get("abc", seed)
+        _assert_same_spectral(back, sd)
+        assert back.layout is sd.layout
+        assert len(sd.blocks) == (len(fock.number_sectors(len(mat))) if seed == 0 else 1)
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "envcache"))
     cache = SpectralCache("ignored-when-env-set")
@@ -220,8 +271,9 @@ def test_cache_key_separates_disorder_kinds(tmp_path, monkeypatch):
 
 
 def test_cache_format_bump_rebuilds_old_entries(tmp_path, monkeypatch):
-    # an entry of format 1 (a dense U from one full eigh) is not served; the
-    # rebuilt entry holds the sector eigenvectors and hits with no eigh
+    # entries of format 1 (a dense U from one full eigh) and format 2 (the
+    # sector eigh scattered into a dense U) are not served; the rebuilt entry
+    # holds U's sector blocks and hits with no eigh
     monkeypatch.delenv("FERMICOND_CACHE_DIR", raising=False)
     cfg = ExperimentConfig.from_dict(BASE_CONFIG)
     cfg.run.cache_dir = str(tmp_path / "cache")
@@ -232,21 +284,25 @@ def test_cache_format_bump_rebuilds_old_entries(tmp_path, monkeypatch):
     key = f"{cfg.model_hash()}:{cfg.disorder.kind}"
     seed = DisorderDistribution(cfg.disorder.kind, cfg.disorder.seed).derived(0).seed
     cache = SpectralCache(cfg.run.cache_dir)
-    with monkeypatch.context() as mp:
-        mp.setattr(cache_module, "CACHE_FORMAT_VERSION", 1)
-        cache.put(key, seed, SpectralData(*np.linalg.eigh(h), fresh.spectral.source_hash))
-        assert cache.get(key, seed) is not None
-    assert cache_module.CACHE_FORMAT_VERSION > 1
+    old = {1: np.linalg.eigh(h), 2: (fresh.spectral.eigenvalues, fresh.spectral.dense_u())}
+    for version, (evals, evecs) in old.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(cache_module, "CACHE_FORMAT_VERSION", version)
+            path = cache._path(key, seed)
+        np.savez(path, eigenvalues=evals, eigenvectors=evecs,
+                 source_hash=np.str_(fresh.spectral.source_hash))
+        path.with_suffix(".sha256").write_text(
+            hashlib.sha256(path.read_bytes()).hexdigest() + "\n")
+    assert cache_module.CACHE_FORMAT_VERSION == 3
     assert cache.get(key, seed) is None
     calls = _count_diagonalizations(monkeypatch)
     rebuilt = build_system(cfg, 0).spectral
     assert len(calls) == 1
-    assert rebuilt._blocks is not None
-    assert cache.stats()["entries"] == 2
+    assert rebuilt.layout is fock.sector_layout(h)
+    assert cache.stats()["entries"] == 3
     again = build_system(cfg, 0).spectral
     assert len(calls) == 1
-    assert np.array_equal(again.eigenvectors, fresh.spectral.eigenvectors)
-    assert again._blocks is not None
+    _assert_same_spectral(again, fresh.spectral)
 
 
 @pytest.mark.parametrize("damage", ["flip-byte", "drop-sidecar"])
@@ -265,8 +321,7 @@ def test_build_system_recovers_corrupt_entry(tmp_path, monkeypatch, damage):
     with pytest.warns(CacheCorruptionWarning):
         rebuilt = build_system(cfg, 0).spectral
     fresh = build_system(cfg, 0, use_cache=False).spectral  # from_hamiltonian, no cache
-    assert np.array_equal(rebuilt.eigenvalues, fresh.eigenvalues)
-    assert np.array_equal(rebuilt.eigenvectors, fresh.eigenvectors)
+    _assert_same_spectral(rebuilt, fresh)
     # the entry left behind is valid: the next build is a silent hit with no eigh
     assert SpectralCache(cfg.run.cache_dir).stats()["entries"] == 1
     calls = _count_diagonalizations(monkeypatch)
@@ -274,7 +329,7 @@ def test_build_system_recovers_corrupt_entry(tmp_path, monkeypatch, damage):
         warnings.simplefilter("error")
         again = build_system(cfg, 0).spectral
     assert calls == []
-    assert np.array_equal(again.eigenvectors, fresh.eigenvectors)
+    _assert_same_spectral(again, fresh)
 
 
 def test_corrupt_entry_is_evicted_before_recompute(tmp_path, monkeypatch):

@@ -116,7 +116,7 @@ def test_merge_averages_chained_runs():
     fock_e[[0, 4, 2, 1]] = [-3.0, 0.0, 1.0, 2.0 + 4e-10]          # N = 0, 1
     fock_e[[6, 5, 3, 7]] = [5.0, 6.0 + 8e-10, 7.0 + 1.6e-9, 10.0]  # N = 2, 3
     order = np.argsort(fock_e, kind="stable")
-    spectral = SpectralData(fock_e[order], np.eye(8)[:, order], "hand-set")
+    spectral = SpectralData(fock_e[order], (np.eye(8)[:, order],), np.arange(8), "hand-set")
     kernel = TransportKernel(sys["rep"], sys["box"], sys["omega"], sys["theta"],
                              GibbsState.of(spectral, 1.0))
     near_one = np.abs(kernel.atom_nu - 1.0) < 1e-6

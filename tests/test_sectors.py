@@ -2,9 +2,10 @@
 
 H, the bond observables and the Gibbs data are exactly zero off the
 particle-number sectors, so eigh, the basis changes, spectral norms and
-commutators run block by block.  The oracle is a SpectralData from a plain
-np.linalg.eigh, evaluated with the sector detector switched off
-(dense_route), which is the path every operator that mixes sectors keeps.
+commutators run block by block.  The oracle is a SpectralData whose U is
+the one block of a plain np.linalg.eigh, evaluated with the sector detector
+switched off (dense_route), which is the path every operator that mixes
+sectors keeps.
 Eigenbases differ inside degenerate subspaces, so the two routes are compared
 on basis-invariant quantities (spectra, reconstructions, tau_t, rho, norms,
 merged atoms) or on the same U.
@@ -21,7 +22,7 @@ from fermicond import fock
 from fermicond.equilibrium import (GibbsState, SpectralData, drive_layout, evolve,
                                    heisenberg, lieb_robinson_check)
 from fermicond.experiments import DEFAULT_BATTERY
-from fermicond.fock import FockRep, commutator, opnorm_mat, sector_blocks
+from fermicond.fock import FockRep, commutator, opnorm_mat, sector_layout
 from fermicond.lattice import Box, DisorderDistribution, shift
 from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_w,
                              flat_pulse, rescale)
@@ -51,10 +52,9 @@ CASES = _cases()
 
 @contextmanager
 def dense_route():
-    """Every primitive on its dense path: no sector layout, no U blocks."""
+    """Every operator primitive on its dense path: no sector layout."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fock, "_sector_layout", lambda dim: None)
-        mp.setattr(SpectralData, "_blocks", None)
+        mp.setattr(fock, "number_layout", lambda dim: None)
         yield
 
 
@@ -72,9 +72,9 @@ def _system(label):
 
 
 def _oracle(sys):
-    """Plain eigh; use it only inside dense_route."""
+    """Plain eigh, U as one block; use it only inside dense_route."""
     evals, evecs = np.linalg.eigh(sys["h"])
-    return SpectralData(evals, evecs, "dense")
+    return SpectralData(evals, (evecs,), np.arange(len(evals)), "dense")
 
 
 def _off_sector(dim):
@@ -86,16 +86,18 @@ def _off_sector(dim):
 def test_sector_spectrum_and_reconstruction(label):
     sys = _system(label)
     sd, h = sys["sd"], sys["h"]
-    assert sd._blocks is not None  # the sector route was taken
+    # the sector route was taken: one eigh block per sector, as eigh returned it
+    assert sd.layout is sector_layout(h)
+    assert [uk.shape for uk in sd.blocks] == [(len(g), len(g)) for g in sd.layout.groups]
     n = np.bitwise_count(np.arange(sd.dim))
+    u = sd.dense_u()
     # each eigenvector lives in one sector: U is exactly zero elsewhere
-    sector_of = [int(n[np.flatnonzero(col)[0]]) for col in sd.eigenvectors.T]
-    assert not np.any(sd.eigenvectors[n[:, None] != np.array(sector_of)[None, :]])
+    sector_of = [int(n[np.flatnonzero(col)[0]]) for col in u.T]
+    assert not np.any(u[n[:, None] != np.array(sector_of)[None, :]])
     assert np.all(np.diff(sd.eigenvalues) >= 0)
     with dense_route():
         oracle = _oracle(sys)
         assert np.abs(sd.eigenvalues - oracle.eigenvalues).max() <= TOL
-    u = sd.eigenvectors
     assert np.abs((u * sd.eigenvalues) @ u.conj().T - h).max() <= TOL
     assert np.abs(u.conj().T @ u - np.eye(sd.dim)).max() <= TOL
 
@@ -104,7 +106,7 @@ def test_sector_spectrum_and_reconstruction(label):
 def test_sector_basis_changes_and_heisenberg(label):
     sys = _system(label)
     sd, b = sys["sd"], sys["b1"]
-    u = sd.eigenvectors
+    u = sd.dense_u()
     bt = sd.to_eigenbasis(b)
     assert np.abs(bt - u.conj().T @ b @ u).max() <= TOL
     assert np.abs(sd.from_eigenbasis(bt) - b).max() <= TOL
@@ -120,7 +122,7 @@ def test_sector_gibbs_density(label):
     sys = _system(label)
     for beta in DEFAULT_BATTERY["betas"]:
         rho = GibbsState.of(sys["sd"], beta).density
-        assert sector_blocks(rho) is not None
+        assert sector_layout(rho) is not None
         with dense_route():
             ref = GibbsState.of(_oracle(sys), beta).density
         assert np.abs(rho - ref).max() <= TOL
@@ -181,7 +183,7 @@ def test_sector_driven_density_matches_dense():
     with dense_route():
         refs = evolve(GibbsState.of(_oracle(sys), 1.0).density, _drive(sys), grid, dt, keep)
     for rho, ref in zip(rhos, refs):
-        assert sector_blocks(rho) is not None
+        assert sector_layout(rho) is not None
         assert np.abs(rho - ref).max() <= TOL
 
 
@@ -251,7 +253,7 @@ def test_driven_path_scans_a_fixed_number_of_times(monkeypatch):
             return fn(*args)
         return wrapped
 
-    scan = counted("scans", fock.sector_layout)  # every sector_blocks call goes through it
+    scan = counted("scans", fock.sector_layout)  # every scan goes through it
     monkeypatch.setattr(fock, "sector_layout", scan)
     monkeypatch.setattr(equilibrium, "sector_layout", scan)
     monkeypatch.setattr(equilibrium, "step_unitary", counted("steps", equilibrium.step_unitary))
@@ -269,6 +271,43 @@ def test_driven_path_scans_a_fixed_number_of_times(monkeypatch):
     assert len({steps for _, steps in seen}) == 3
 
 
+def test_number_conserving_paths_build_no_dense_u(tmp_path, monkeypatch):
+    # U is held as its sector blocks; on a number-conserving chain no basis
+    # change needs the dense U, from the cached build to every analysis
+    from fermicond.config import ExperimentConfig
+    from fermicond.experiments import build_system
+    from fermicond.joule import energy_increments
+    from fermicond.transport import driven_currents, green_kubo_residual
+
+    def refuse(self):
+        raise AssertionError("dense U built for a number-conserving operand")
+
+    monkeypatch.setattr(SpectralData, "dense_u", refuse)
+    cfg = ExperimentConfig.from_dict({
+        "model": {"d": 1, "sites": 6, "theta": 0.5, "lambda": 1.0, "beta": 1.0,
+                  "interaction": "density-density", "U": 1.0, "range": 1},
+        "disorder": {"kind": "iid-uniform", "seed": 11, "n_samples": 1},
+        "run": {"cache_dir": str(tmp_path / "cache")}})
+    build_system(cfg, 0)  # a miss: eigh, put
+    system = build_system(cfg, 0)  # a hit: get
+    rep, box, omega, state, kernel = (system.rep, system.box, system.omega, system.state,
+                                      system.kernel)
+    assert len(system.spectral.blocks) == rep.n_sites + 1
+    times = np.linspace(0.0, 1.5, 7)
+    kernel.series(times)
+    first, last = (box.sites[1], box.sites[0]), (box.sites[5], box.sites[4])
+    kernel.sigma_p(first, last, times)
+    kernel.sigma_d(first)
+    ip, base = cfg.model.ip(), flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    driven_currents(rep, box, omega, 0.5, 1.0, ip, state, rescale(base, 6.0, 0.04), 0.04,
+                    times, 0.05)
+    energy_increments(rep, box, omega, 0.5, 1.0, ip, state, base, 0.04, 6.0, times, 0.05,
+                      warn_margin=False)
+    b1, b2 = (current_obs(rep, box, [b], omega, 0.5) for b in (first, last))
+    lieb_robinson_check(b1, first, b2, last, 0.3, system.spectral, lambda r: 1.0, 1.0, 1.0)
+    green_kubo_residual(kernel, times)
+
+
 # -- the dense route stays the general case ------------------------------------
 
 def test_number_changing_terms_take_dense_route():
@@ -276,16 +315,16 @@ def test_number_changing_terms_take_dense_route():
     sd, h, b1 = sys["sd"], sys["h"], sys["b1"]
     a = sys["rep"].annihilator(sys["rep"].site_order[2])
     odd = 0.3 * (a + a.conj().T)  # changes the particle number by one
-    assert sector_blocks(odd) is None
-    # in H: one full eigh
+    assert sector_layout(odd) is None
+    # in H: one full eigh, whose U is the one block
     mixed = SpectralData.from_hamiltonian(h + odd)
     evals, evecs = np.linalg.eigh(h + odd)
     assert np.array_equal(mixed.eigenvalues, evals)
-    assert np.array_equal(mixed.eigenvectors, evecs)
-    assert mixed._blocks is None
-    # in an operand: dense basis changes, norms and commutators
+    assert len(mixed.blocks) == 1 and np.array_equal(mixed.blocks[0], evecs)
+    assert mixed.layout is fock.whole_layout(len(h))
+    # in an operand: dense basis changes (U built on demand), norms and commutators
     op = b1 + odd
-    u = sd.eigenvectors
+    u = sd.dense_u()
     assert np.array_equal(sd.to_eigenbasis(op), u.conj().T @ op @ u)
     assert opnorm_mat(op) == float(np.linalg.norm(op, 2))
     assert np.array_equal(commutator(h, op), h @ op - op @ h)
@@ -312,25 +351,25 @@ def test_dense_eigenvectors_stay_dense():
     # H = 0 is diagonalized by any unitary; a random one mixes every sector
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    sd = SpectralData(np.zeros(16), q, "mixed")
-    assert sd._blocks is None
+    sd = SpectralData(np.zeros(16), (q,), np.arange(16), "mixed")
+    assert sd.layout is fock.whole_layout(16)
     rep = FockRep.of_box(Box.chain(4))
     x, y = rep.site_order[:2]
     b = rep.number(y) + fock.bilinear(rep, x, y, 0.5)
-    assert sector_blocks(b) is not None
+    assert sector_layout(b) is not None
     assert np.array_equal(sd.to_eigenbasis(b), q.conj().T @ b @ q)
     assert np.array_equal(sd.from_eigenbasis(b), q @ b @ q.conj().T)
 
 
 def test_sector_blocks_detector():
-    assert sector_blocks(np.eye(12)) is None  # not a power of 2
-    assert sector_blocks(np.eye(1)) is None   # one sector
-    assert sector_blocks(np.ones((2, 3))) is None
-    grids = sector_blocks(np.eye(16))
-    assert [len(ix[0]) for ix in grids] == [1, 4, 6, 4, 1]
-    assert sector_blocks(np.zeros((16, 16))) is grids  # cached layout
+    assert sector_layout(np.eye(12)) is None  # not a power of 2
+    assert sector_layout(np.eye(1)) is None   # one sector
+    assert sector_layout(np.ones((2, 3))) is None
+    layout = sector_layout(np.eye(16))
+    assert [len(ix[0]) for ix in layout.grids] == [1, 4, 6, 4, 1]
+    assert sector_layout(np.zeros((16, 16))) is layout  # cached layout
     m = np.eye(16, dtype=complex)
     m[0, 1] = 1e-300  # popcount 0 -> 1
-    assert sector_blocks(m) is None
+    assert sector_layout(m) is None
     rep = FockRep.of_box(Box.chain(4))
-    assert sector_blocks(rep.total_number()) is grids
+    assert sector_layout(rep.total_number()) is layout
