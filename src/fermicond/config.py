@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import DEFAULT_SITE_CAP
 from .lattice import DISORDER_KINDS, Box, LatticeSpec
-from .model import DecayFunction, InterparticleInteraction, box_extent, flat_pulse
+from .model import DecayFunction, FlatPulse, InterparticleInteraction, box_extent
 
 FIELD_SHAPES = ("flat-sin2", "flat-gauss")
 
@@ -79,10 +79,11 @@ class FieldBlock:
     halfwidth: float = 1.0
     scale: float = 1.0            # spatial rescale factor l in A_l(t,x) = A(t, x/l)
 
-    def base_potential(self, d: int):
+    def base_potential(self, d: int) -> FlatPulse:
+        """The unit-strength pulse at scale 1; the experiments rescale it."""
         envelope = "sin2" if self.shape == "flat-sin2" else "gauss"
-        return flat_pulse(d, np.asarray(self.w, dtype=float), self.t0, self.t1,
-                          self.halfwidth, envelope)
+        return FlatPulse(d, np.asarray(self.w, dtype=float), self.t0, self.t1,
+                         self.halfwidth, envelope)
 
 
 @dataclass
@@ -101,10 +102,8 @@ class RunBlock:
     cache_dir: str | None = None
     workers: int = 1
 
-    def times(self, two_sided: bool = True) -> np.ndarray:
-        if two_sided:
-            return np.linspace(-self.t_max, self.t_max, self.n_times)
-        return np.linspace(0.0, self.t_max, self.n_times)
+    def times(self) -> np.ndarray:
+        return np.linspace(-self.t_max, self.t_max, self.n_times)
 
 
 @dataclass
@@ -209,6 +208,8 @@ class ExperimentConfig:
             e.append(f"model.decay_form: unknown form {m.decay_form!r}")
         if m.decay_epsilon <= 0:
             e.append("model.decay_epsilon: must be > 0")
+        if m.decay_sigma <= 0:
+            e.append("model.decay_sigma: must be > 0")
         if not e:  # the box is well defined only for a valid model block
             e.extend(self._box_errors())
         if f.shape not in FIELD_SHAPES:

@@ -167,10 +167,6 @@ class GibbsState:
         return abs(complex(lhs - rhs))
 
 
-def gibbs(h: np.ndarray, beta: float) -> GibbsState:
-    return GibbsState.of(SpectralData.from_hamiltonian(h), beta)
-
-
 def heisenberg(b: np.ndarray, t: float, spectral: SpectralData) -> np.ndarray:
     """tau_t(B) = e^{itH} B e^{-itH}."""
     bt = spectral.to_eigenbasis(b)
@@ -192,32 +188,30 @@ def imaginary_time(b: np.ndarray, alpha: float, spectral: SpectralData) -> np.nd
     return spectral.from_eigenbasis(wl[:, None] * bt * (1.0 / wl)[None, :])
 
 
-def duhamel(b1: np.ndarray, b2: np.ndarray, state: GibbsState) -> complex:
-    """(B1, B2)_~ = int_0^beta rho(B1^* tau_{i alpha}(B2)) d alpha, in closed form.
+def bohr_pairs(state: GibbsState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenbasis pair table (nu, g, tiny): Bohr frequencies nu_mn =
+    E_n - E_m, the Duhamel weight g_mn = (p_m - p_n)/nu_mn, and the mask of
+    numerically degenerate pairs, |nu_mn| < 1e-12 max(1, max|E|), on which g
+    takes its limit beta p_m."""
+    e = state.spectral.eigenvalues
+    p = state.weights
+    nu = e[None, :] - e[:, None]
+    tiny = np.abs(nu) < 1e-12 * max(1.0, float(np.abs(e).max()))
+    g = np.where(tiny, state.beta * p[:, None],
+                 (p[:, None] - p[None, :]) / np.where(tiny, 1.0, nu))
+    return nu, g, tiny
 
-    Weight for matrix elements (m, n): (p_m - p_n)/(Z-normalized)/(E_n - E_m),
-    with the degenerate limit beta * p_m.
-    """
+
+def duhamel(b1: np.ndarray, b2: np.ndarray, state: GibbsState) -> complex:
+    """(B1, B2)_~ = int_0^beta rho(B1^* tau_{i alpha}(B2)) d alpha, in closed form."""
     sd = state.spectral
     return duhamel_pair_eig(sd.to_eigenbasis(b1), sd.to_eigenbasis(b2), state)
 
 
-def duhamel_kernel(state: GibbsState) -> np.ndarray:
-    """Matrix K_{mn} = (p_n - p_m)/(E_m - E_n), beta*p_m on the diagonal limit."""
-    e = state.spectral.eigenvalues
-    p = state.weights
-    de = e[:, None] - e[None, :]  # E_m - E_n
-    dp = p[None, :] - p[:, None]  # p_n - p_m
-    small = np.abs(de) < 1e-12 * max(1.0, np.abs(e).max())
-    kern = np.where(small, state.beta * p[:, None], dp / np.where(small, 1.0, de))
-    return kern
-
-
 def duhamel_pair_eig(b1t: np.ndarray, b2t: np.ndarray, state: GibbsState) -> complex:
-    """(B1, B2)_~ for eigenbasis matrices: sum_mn (B1^*)_{mn} (B2)_{nm} K_{mn}."""
-    kern = duhamel_kernel(state)
-    b1dag = b1t.conj().T
-    return complex(np.einsum("mn,nm,mn->", b1dag, b2t, kern))
+    """(B1, B2)_~ for eigenbasis matrices: sum_mn (B1^*)_{mn} (B2)_{nm} g_mn."""
+    _, g, _ = bohr_pairs(state)
+    return complex(np.einsum("mn,nm,mn->", b1t.conj().T, b2t, g))
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +359,11 @@ def _uniform_step(times: np.ndarray, who: str) -> float:
 
 
 def _cumulative_simpson(vals: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid (Simpson on even prefixes,
-    trapezoid patch on odd ones); vals may carry trailing axes."""
+    """Cumulative integral on a uniform grid: prefix i is _simpson_weights(i, h)
+    applied to vals[:i + 1]; vals may carry trailing axes."""
     out = np.zeros_like(vals, dtype=np.result_type(vals, 1.0))
     for i in range(1, len(vals)):
-        if i % 2 == 0:
-            out[i] = out[i - 2] + h / 3.0 * (vals[i - 2] + 4 * vals[i - 1] + vals[i])
-        else:
-            out[i] = out[i - 1] + h / 2.0 * (vals[i - 1] + vals[i])
+        out[i] = np.tensordot(_simpson_weights(i, h), vals[:i + 1], axes=1)
     return out
 
 

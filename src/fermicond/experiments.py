@@ -79,6 +79,17 @@ def build_system(cfg: ExperimentConfig, sample_index: int = 0,
     return System(cfg, box, rep, omega, spectral, state, kernel, sample_index)
 
 
+def _chain_config(cfg: ExperimentConfig, n_sites: int) -> ExperimentConfig:
+    """A copy of cfg whose model is the d=1 chain of n_sites ('l' and 'shape'
+    cleared); the other blocks are unchanged."""
+    sub = ExperimentConfig.from_dict(json.loads(cfg.canonical()))
+    sub.model.d = 1
+    sub.model.sites = n_sites
+    sub.model.l = None
+    sub.model.shape = None
+    return sub
+
+
 def _provenance(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     out = {"config": cfg.hash(), "seed": cfg.disorder.seed, "beta": cfg.model.beta,
            "theta": cfg.model.theta, "lambda": cfg.model.lam, "d": cfg.model.d}
@@ -98,6 +109,15 @@ def _series_for_sample(canonical_cfg: str, index: int):
 def _sample_series(cfg: ExperimentConfig, system: System):
     return system.kernel.series(cfg.run.times(),
                                 _provenance(cfg, {"sample": system.sample_index}))
+
+
+def _kernel_defects(kernel: TransportKernel, t_grid, theta: float) -> tuple:
+    """(max |Xi_p(0)|, which is exactly 0; the Xi_p(-t) vs Xi_p(t)^T defect
+    over t_grid; whether xi_d lies in [-2(theta+1), 2(theta+1)])."""
+    zero = float(np.abs(kernel.xi_p(0.0)).max())
+    sym = float(np.abs(kernel.xi_p(-t_grid)
+                       - np.transpose(kernel.xi_p(t_grid), (0, 2, 1))).max())
+    return zero, sym, bool(np.abs(np.diag(kernel.xi_d())).max() <= 2 * (theta + 1) + 1e-12)
 
 
 def run_transport(cfg: ExperimentConfig, outdir: Path):
@@ -122,16 +142,12 @@ def run_transport(cfg: ExperimentConfig, outdir: Path):
         files.append(mean.to_csv(outdir / "transport_mean.csv"))
     files.append(write_csv(outdir / "thermal_current.csv", ["axis", "J_th"],
                            enumerate(thermal_current(sys0.kernel))))
-    # gates: Xi_p(0) = 0 exactly, transpose symmetry, xi_d codomain
-    t_grid = cfg.run.times()
-    xi0 = sys0.kernel.xi_p(0.0)
-    if np.abs(xi0).max() != 0.0:
-        failures.append(f"Xi_p(0) = {np.abs(xi0).max()} != 0")
-    sym = np.abs(sys0.kernel.xi_p(-t_grid) - np.transpose(sys0.kernel.xi_p(t_grid), (0, 2, 1)))
-    if sym.max() > 1e-10:
-        failures.append(f"Xi_p(-t) vs Xi_p(t)^T defect {sym.max()}")
-    bound = 2 * (cfg.model.theta + 1)
-    if np.abs(np.diag(sys0.kernel.xi_d())).max() > bound + 1e-12:
+    zero, sym, codomain_ok = _kernel_defects(sys0.kernel, cfg.run.times(), cfg.model.theta)
+    if zero != 0.0:
+        failures.append(f"Xi_p(0) = {zero} != 0")
+    if sym > 1e-10:
+        failures.append(f"Xi_p(-t) vs Xi_p(t)^T defect {sym}")
+    if not codomain_ok:
         failures.append("xi_d outside [-2(theta+1), 2(theta+1)]")
     return files, failures
 
@@ -153,7 +169,7 @@ def run_ohm(cfg: ExperimentConfig, outdir: Path):
     for eta in etas:
         a_scaled = rescale(a_base, scale, eta)
         traces[eta] = driven_currents(sys0.rep, sys0.box, sys0.omega, m.theta, m.lam,
-                                      m.ip(), sys0.state, a_scaled, eta, times, cfg.run.dt)
+                                      m.ip(), sys0.state, a_scaled, times, cfg.run.dt)
     cols = ["t"] + [f"J_lin[{k}]" for k in range(m.d)] \
         + [f"J_d_lin[{k}]" for k in range(m.d)] \
         + [f"J_p_eta{eta}[{k}]" for eta in etas for k in range(m.d)]
@@ -386,11 +402,10 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
             b2 = _random_local(rng, sysd["rep"])
             worst_kms = max(worst_kms, sysd["state"].kms_defect(b1, b2)
                             / (opnorm_mat(b1) * opnorm_mat(b2)))
-        worst_zero = max(worst_zero, float(np.abs(k.xi_p(0.0)).max()))
-        worst_sym = max(worst_sym, float(np.abs(
-            k.xi_p(-t_grid) - np.transpose(k.xi_p(t_grid), (0, 2, 1))).max()))
-        codomain_ok &= bool(np.abs(np.diag(k.xi_d())).max()
-                            <= 2 * (sysd["theta"] + 1) + 1e-12)
+        zero, sym, in_codomain = _kernel_defects(k, t_grid, sysd["theta"])
+        worst_zero = max(worst_zero, zero)
+        worst_sym = max(worst_sym, sym)
+        codomain_ok &= in_codomain
         meas = extract_measure(k)
         worst_rt = max(worst_rt, float(np.abs(
             levy_khintchine(meas, t_grid) - k.xi_plus(t_grid)).max()))
@@ -412,18 +427,13 @@ def run_invariants(cfg: ExperimentConfig, outdir: Path):
     check("levy-khintchine-round-trip", worst_rt <= 1e-8, f"{worst_rt:.2e}")
     check("passivity-work-functional", worst_work >= -1e-9, f"min L = {worst_work:.2e}")
 
-    # 32-sample disorder average on the 4-site member: stderr finite, mean sane
+    # 32-sample disorder average on a 4-site chain: stderr finite, mean sane
     ts = np.linspace(0.0, 5.0, 11)
+    sub = _chain_config(cfg, 4)
+    sub.disorder.kind = "iid-uniform"
 
     def builder(i):
-        return build_system(cfg_for_sample(cfg, 4), i).kernel.series(ts)
-
-    def cfg_for_sample(base, n):
-        sub = ExperimentConfig.from_dict(json.loads(base.canonical()))
-        sub.model.sites = n
-        sub.model.l = None
-        sub.disorder.kind = "iid-uniform"
-        return sub
+        return build_system(sub, i).kernel.series(ts)
 
     mean = disorder_average(builder, DEFAULT_BATTERY["n_samples"])
     check("disorder-average-stderr",
@@ -507,11 +517,7 @@ def run_green_kubo(cfg: ExperimentConfig, outdir: Path):
     sizes, resids = [], []
     times = np.linspace(0.0, 5.0, 21)
     for n_sites in (3, 5, 7):
-        sub = ExperimentConfig.from_dict(json.loads(cfg.canonical()))
-        sub.model.sites = n_sites
-        sub.model.l = None
-        sub.model.shape = None
-        sysl = build_system(sub, 0)
+        sysl = build_system(_chain_config(cfg, n_sites), 0)
         sizes.append(len(sysl.box.sites))
         resids.append(green_kubo_residual(sysl.kernel, times)["max_residual"])
     files.append(write_csv(outdir / "green_kubo.csv", ["l", "sites", "max_residual"],

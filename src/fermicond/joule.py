@@ -31,13 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, drive_layout, evolve, free_after_pulse
+from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, _uniform_step
 from .fock import FockRep
 from .lattice import Box
 from .model import (FlatPulse, InterparticleInteraction, build_hamiltonian, build_w,
                     check_field_margin, rescale)
-from .transport import TransportKernel, ohm_linear, pulse_efield_and_integral
+from .transport import TransportKernel, drive, ohm_linear, pulse_efield_and_integral
 
 
 @dataclass
@@ -66,9 +65,8 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
                       ip: InterparticleInteraction, state: GibbsState,
                       a_base: FlatPulse, eta: float, l: float, times,
                       dt: float, warn_margin: bool = True) -> EnergyTrace:
-    """Drive with H + W_t(eta A_l) and record the four increments on the grid;
-    after the pulse the evolution is the exact rotation in the state's
-    eigenbasis when that is the eigenbasis of H."""
+    """Drive with H + W_t(eta A_l) (transport.drive) and record the four
+    increments on the grid."""
     times = np.asarray(times, dtype=float)
     a_scaled = rescale(a_base, l, eta)
     if warn_margin:
@@ -88,17 +86,8 @@ def energy_increments(rep: FockRep, box: Box, omega, theta: float, lam: float,
     if eta == 0.0:
         S, P, Ip, Id = np.zeros((4, len(times)))
     else:
-        rho0 = state.density
-        layout = drive_layout(h0, rho0)
-        h0_blocks = layout.gather(h0)
-
-        def h_of_t(t):
-            w = build_w(rep, box, omega, theta, a_scaled, t, layout)
-            return tuple(hk + wk for hk, wk in zip(h0_blocks, w))
-
-        free = free_after_pulse(a_scaled.t1, state.spectral, h0)
-        S, P, Ip, Id = map(np.array, zip(*evolve(rho0, h_of_t, times, dt, observe, free,
-                                                 layout)))
+        S, P, Ip, Id = map(np.array, zip(*drive(rep, box, omega, theta, h0, state,
+                                                a_scaled, times, dt, observe)))
     prov = {"eta": eta, "l": l, "d": box.dim, "beta": state.beta, "theta": theta,
             "lambda": lam}
     return EnergyTrace(times, S, P, Ip, Id, eta, l, prov)
@@ -253,11 +242,7 @@ def joule_form_ip(kernel: TransportKernel, a_base: FlatPulse, w, times) -> np.nd
     efield, _ = pulse_efield_and_integral(a_base, w)
     j_p, _ = ohm_linear(kernel, efield, w, times)
     integrand = np.array([efield(s) * float(w @ j_p[i]) for i, s in enumerate(times)])
-    h = times[1] - times[0]
-    out = np.zeros(len(times))
-    for i in range(1, len(times)):
-        out[i] = _simpson_weights(i, h) @ integrand[:i + 1]
-    return vol * out
+    return vol * _cumulative_simpson(integrand, times[1] - times[0])
 
 
 def diamagnetic_density(kernel: TransportKernel, a_base: FlatPulse, w, times) -> np.ndarray:

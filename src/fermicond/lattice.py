@@ -88,14 +88,12 @@ class Box:
 
     @classmethod
     def cube(cls, spec: LatticeSpec) -> "Box":
-        rng = range(-spec.l, spec.l + 1)
-        return cls(spec.d, product(rng, repeat=spec.d))
+        return cls.rect((2 * spec.l + 1,) * spec.d)
 
     @classmethod
     def chain(cls, n: int) -> "Box":
         """1d chain of n sites, centered at the origin."""
-        lo = -((n - 1) // 2)
-        return cls(1, ((x,) for x in range(lo, lo + n)))
+        return cls.rect((n,))
 
     @classmethod
     def rect(cls, shape) -> "Box":

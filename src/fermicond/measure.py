@@ -52,7 +52,7 @@ class MatrixMeasure:
     def dim(self) -> int:
         return self.zero_atom.shape[0]
 
-    def check(self, psd_tol: float = 1e-10, abort_tol: float = 1e-8) -> float:
+    def check(self, abort_tol: float = 1e-8) -> float:
         """Verify symmetry/PSD of every atom; returns the worst min-eigenvalue."""
         worst = _min_eig(self.zero_atom)
         for w in self.weights:

@@ -50,6 +50,8 @@ class DecayFunction:
             raise ValueError(f"unknown decay form {self.form!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
 
     def __call__(self, r) -> float:
         r = np.asarray(r, dtype=float)
@@ -147,23 +149,27 @@ class InterparticleInteraction:
                         yield (x, y), c
 
 
-def interaction_norm(ip: InterparticleInteraction, f: DecayFunction, box: Box) -> float:
-    """Finite-box ||Psi_IP||_W = sup_{x,y} sum_{Lambda containing x,y} |coeff| / F(|x-y|).
-
-    Uses |coeff| = operator norm of each v(r) n n term (n-products have norm 1).
-    """
-    terms = {}
+def _sup_norm(norms: dict, ip: InterparticleInteraction, f: DecayFunction,
+              box: Box) -> float:
+    """sup_{x,y} sum_{Lambda containing x,y} ||Psi(Lambda)|| / F(|x-y|) on the
+    finite box, norms (frozenset support -> norm) plus the interaction terms,
+    each of norm |coeff| (n-products have norm 1)."""
     for supp, c in ip.pair_terms(box):
-        terms.setdefault(frozenset(supp), 0.0)
-        terms[frozenset(supp)] += abs(c)
+        key = frozenset(supp)
+        norms[key] = norms.get(key, 0.0) + abs(c)
     best = 0.0
     for x in box.sites:
         for y in box.sites:
-            tot = sum(c for supp, c in terms.items() if x in supp and y in supp)
+            tot = sum(c for supp, c in norms.items() if x in supp and y in supp)
             if tot:
                 r = float(np.linalg.norm(np.array(x) - np.array(y)))
                 best = max(best, tot / f(r))
     return best
+
+
+def interaction_norm(ip: InterparticleInteraction, f: DecayFunction, box: Box) -> float:
+    """Finite-box ||Psi_IP||_W of the interparticle terms alone."""
+    return _sup_norm({}, ip, f, box)
 
 
 def full_interaction_norm(theta0: float, ip: InterparticleInteraction,
@@ -179,17 +185,7 @@ def full_interaction_norm(theta0: float, ip: InterparticleInteraction,
         norms[frozenset((s,))] = 2.0 * d
     for b in box.bonds:
         norms[frozenset(b)] = 1.0 + theta0
-    for supp, c in ip.pair_terms(box):
-        key = frozenset(supp)
-        norms[key] = norms.get(key, 0.0) + abs(c)
-    best = 0.0
-    for x in box.sites:
-        for y in box.sites:
-            tot = sum(c for supp, c in norms.items() if x in supp and y in supp)
-            if tot:
-                r = float(np.linalg.norm(np.array(x) - np.array(y)))
-                best = max(best, tot / f(r))
-    return best
+    return _sup_norm(norms, ip, f, box)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,8 @@ class FlatPulse:
     def bond_weight(self, x, y) -> float:
         """(w . (y - x)) times the fraction of the bond on the plateau: the
         spatial factor of the bond's field, exactly antisymmetric."""
-        dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return float(np.dot(self.w, dx)) * self._plateau_fraction(x, y)
+        dx, frac = self.segment(x, y)
+        return float(np.dot(self.w, dx)) * frac
 
 
 def integrated_field(a: FlatPulse, t: float, bond) -> float:
@@ -326,15 +322,8 @@ def bond_phase(a: FlatPulse, t: float, x: Site, y: Site) -> float:
     eta env(t) (w . (y - x)) times the fraction of the bond on the plateau."""
     if a.is_off(t):
         return 0.0
-    dx = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    return float(np.dot(a.amplitude(t), dx)) * a._plateau_fraction(x, y)
-
-
-def flat_pulse(dim: int, w, t0: float = 0.0, t1: float = 1.0,
-               halfwidth: float = 1.0, envelope: str = "sin2") -> FlatPulse:
-    """Space-homogeneous pulse: A(t,x) = env(t) * w inside [-hw, hw]^d, 0 outside,
-    so E(t,x) = -env'(t) * w on the plateau (scale 1, strength 1)."""
-    return FlatPulse(dim, w, t0, t1, halfwidth, envelope)
+    dx, frac = a.segment(x, y)
+    return float(np.dot(a.amplitude(t), dx)) * frac
 
 
 def rescale(a: FlatPulse, l: float, eta: float) -> FlatPulse:
@@ -373,9 +362,8 @@ def build_hopping(box: Box, omega: DisorderSample, theta: float) -> np.ndarray:
     d = box.dim
     np.fill_diagonal(h, 2.0 * d)
     for (x, y) in box.bonds:  # y = x + e_j by canonical ordering
-        z = omega.bond(x, y)
         i, j = box.index[x], box.index[y]
-        h[i, j] = -(1.0 + theta * z)
+        h[i, j] = _hopping_entry(box, omega, theta, x, y)
         h[j, i] = np.conj(h[i, j])
     return h
 
@@ -461,11 +449,9 @@ def build_w(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
     if a.is_off(t):
         zero = rep.zero()
         return zero if layout is None else layout.gather(zero)
-    amp = a.amplitude(t)
 
     def pair(bond, c):
-        dx, frac = a.segment(*bond)  # memoised on the pulse, as hop is on rep
-        cp = c * np.exp(1j * (float(np.dot(amp, dx)) * frac))  # = bond_phase(a, t, *bond)
+        cp = c * np.exp(1j * bond_phase(a, t, *bond))
         return cp - c, np.conj(cp) - np.conj(c)
 
     return _scatter_bonds(rep, box, box.bonds, omega, theta, pair, layout)

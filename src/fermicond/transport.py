@@ -20,7 +20,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .equilibrium import GibbsState, _cumulative_simpson, _simpson_weights, \
-    _uniform_step, drive_layout, duhamel_pair_eig, evolve, free_after_pulse
+    _uniform_step, bohr_pairs, drive_layout, duhamel_pair_eig, evolve, free_after_pulse
 from .fock import FockRep
 from .lattice import Box, DisorderSample, Site, shift
 from .model import FlatPulse, NotABondError, _scatter_bonds, bond_phase, \
@@ -100,8 +100,6 @@ class TransportKernel:
         self.rep, self.box, self.omega, self.theta, self.state = rep, box, omega, theta, state
         self.dim_space = box.dim
         sd = state.spectral
-        e = sd.eigenvalues
-
         self.volume = len(box)
 
         # summed directional currents J_k over the box, in the eigenbasis, and
@@ -115,19 +113,12 @@ class TransportKernel:
             self._xi_d[k, k] = state.expect(
                 paramagnetic_partner_obs(rep, box, bonds, omega, theta)).real / self.volume
 
-        # pair data
-        self.bohr = e[None, :] - e[:, None]  # nu_{mn} = E_n - E_m at [m, n]
-        scale = max(1.0, float(np.abs(e).max()))
-        p = state.weights
-        dp = p[:, None] - p[None, :]  # p_m - p_n
-        tiny = np.abs(self.bohr) < 1e-12 * scale
-        self.pair_weight = np.where(tiny, state.beta * p[:, None],
-                                    dp / np.where(tiny, 1.0, self.bohr))
-        self._tiny = tiny
-        self._scale = scale
+        # pair data: nu_{mn} = E_n - E_m at [m, n], the Duhamel weight g_mn
+        self.bohr, self.pair_weight, self._tiny = bohr_pairs(state)
+        self._scale = max(1.0, float(np.abs(sd.eigenvalues).max()))
 
         # one-sided atoms of the space-averaged coefficient
-        self._build_atoms(1e-9 * scale)
+        self._build_atoms(1e-9 * self._scale)
 
     # -- atom assembly ------------------------------------------------------
 
@@ -176,12 +167,7 @@ class TransportKernel:
 
     def xi_p(self, t) -> np.ndarray:
         """Xi_{p,l}(t), exactly zero matrix at t = 0."""
-        t = np.asarray(t, dtype=float)
-        cosm1 = np.cos(np.multiply.outer(t, self.atom_nu)) - 1.0
-        sin = np.sin(np.multiply.outer(t, self.atom_nu))
-        sym = 2.0 * np.tensordot(cosm1, self.atom_sym, axes=([-1], [0]))
-        asym = -2.0 * np.tensordot(sin, self.atom_asym, axes=([-1], [0]))
-        return sym + asym
+        return self.xi_plus(t) + self.xi_minus(t)
 
     def xi_plus(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -282,13 +268,32 @@ class CurrentDensityTrace:
     eta: float
 
 
+def drive(rep: FockRep, box: Box, omega: DisorderSample, theta: float, h0: np.ndarray,
+          state: GibbsState, a: FlatPulse, times, dt: float,
+          observe: Callable[[float, np.ndarray], object]) -> list:
+    """Evolve the state's density under H0 + W_t(a) and observe it on the grid.
+
+    The sector decision is drive_layout's, and W_t is scattered straight into
+    its blocks; after the pulse the evolution is the exact rotation in the
+    state's eigenbasis when that is the eigenbasis of H0 (free_after_pulse).
+    """
+    rho0 = state.density
+    layout = drive_layout(h0, rho0)
+    h0_blocks = layout.gather(h0)
+
+    def h_of_t(t):
+        w = build_w(rep, box, omega, theta, a, t, layout)
+        return tuple(hk + wk for hk, wk in zip(h0_blocks, w))
+
+    return evolve(rho0, h_of_t, times, dt, observe,
+                  free_after_pulse(a.t1, state.spectral, h0), layout)
+
+
 def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
                     lam: float, ip: InterparticleInteraction, state: GibbsState,
-                    a_scaled: FlatPulse, eta: float, times,
-                    dt: float) -> CurrentDensityTrace:
-    """J_p along the driven evolution generated by H + W_t(eta * A_l); after
-    the pulse the evolution is the exact rotation in the state's eigenbasis
-    when that is the eigenbasis of H."""
+                    a: FlatPulse, times, dt: float) -> CurrentDensityTrace:
+    """J_p along the driven evolution generated by H + W_t(A), A already scaled
+    (its strength eta = a.eta)."""
     times = np.asarray(times, dtype=float)
     h0 = build_hamiltonian(rep, box, omega, theta, lam, ip)
     vol = len(box)
@@ -298,24 +303,15 @@ def driven_currents(rep: FockRep, box: Box, omega: DisorderSample, theta: float,
 
     j_th = np.array([state.expect(op).real / vol for op in para_ops])
 
-    if eta == 0.0:
+    if a.eta == 0.0:
         return CurrentDensityTrace(times, j_th, np.zeros((len(times), box.dim)), 0.0)
-
-    rho0 = state.density
-    layout = drive_layout(h0, rho0)
-    h0_blocks = layout.gather(h0)
-
-    def h_of_t(t):
-        w = build_w(rep, box, omega, theta, a_scaled, t, layout)
-        return tuple(hk + wk for hk, wk in zip(h0_blocks, w))
 
     def observe(t, rho):
         return [np.einsum("ij,ji->", rho, op).real / vol - jt
                 for op, jt in zip(para_ops, j_th)]
 
-    j_p = np.array(evolve(rho0, h_of_t, times, dt, observe,
-                          free_after_pulse(a_scaled.t1, state.spectral, h0), layout))
-    return CurrentDensityTrace(times, j_th, j_p, eta)
+    j_p = np.array(drive(rep, box, omega, theta, h0, state, a, times, dt, observe))
+    return CurrentDensityTrace(times, j_th, j_p, a.eta)
 
 
 def ohm_linear(kernel: TransportKernel, efield: Callable[[float], float], w,

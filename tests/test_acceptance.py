@@ -12,7 +12,7 @@ from fermicond.levy import LevyTriple, from_conductivity, sample_paths, \
     validate_char
 from fermicond.measure import (cesaro_constant, cesaro_mean, drude_tail,
                                extract_measure, levy_khintchine, mass_matched_drude)
-from fermicond.model import DecayFunction, flat_pulse, full_interaction_norm, rescale
+from fermicond.model import DecayFunction, FlatPulse, full_interaction_norm, rescale
 from fermicond.transport import current_obs, driven_currents, green_kubo_residual, \
     ohm_linear, pulse_efield_and_integral, thermal_current
 from fermicond.joule import energy_increments, joule_integrand_x
@@ -102,7 +102,7 @@ def test_criterion_03_transport_symmetries():
 def test_criterion_04_passivity(rng):
     """Heat production S(t >= t1) >= -1e-9; work functional >= -1e-9 for
     20 random cyclic perturbations per model."""
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     worst_s = 0.0
     for name in ("clean-8", "disordered-6", "real-6"):
         sys = SYSTEMS[name]
@@ -195,7 +195,7 @@ def test_criterion_07_ohm_linearity():
     """Remainder fit order >= 1.9 over eta in {0.02, 0.04, 0.08}; Richardson
     extrapolation matches the convolution form to 1e-4."""
     sys = SYSTEMS["clean-8"]
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     w = np.array([1.0])
     times = np.linspace(0.0, 1.4, 71)
     efield, eint = pulse_efield_and_integral(a_base, w)
@@ -205,7 +205,7 @@ def test_criterion_07_ohm_linearity():
     for eta in etas:
         a_sc = rescale(a_base, float(len(sys["box"])), eta)
         tr = driven_currents(sys["rep"], sys["box"], sys["omega"], sys["theta"], 0.0,
-                             sys["ip"], sys["state"], a_sc, eta, times, 0.01)
+                             sys["ip"], sys["state"], a_sc, times, 0.01)
         finals[eta] = tr.j_p[:, 0]
     resid = [np.abs(finals[eta] - eta * j_lin[:, 0]).max() for eta in etas]
     order = float(np.polyfit(np.log(etas), np.log(resid), 1)[0])
@@ -220,7 +220,7 @@ def test_criterion_08_joule_balance_and_scaling():
     """S + P = Ip + Id to 1e-6 relative; eta^2 scaling of S within 2%;
     Ip/(eta^2 l^d) matches int int X_l within the O(eta) budget."""
     sys = SYSTEMS["clean-8"]
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     times = np.linspace(0.0, 1.5, 61)
     l = 2.0
     etas = [0.02, 0.04, 0.08]

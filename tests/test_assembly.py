@@ -16,7 +16,7 @@ from fermicond.experiments import DEFAULT_BATTERY
 from fermicond.fock import FockRep, bilinear, is_even
 from fermicond.lattice import Box, DisorderDistribution
 from fermicond.model import (InterparticleInteraction, bond_phase, build_hamiltonian,
-                             build_hopping, build_w, flat_pulse, potential_diagonal,
+                             build_hopping, build_w, FlatPulse, potential_diagonal,
                              rescale)
 from fermicond.transport import axis_bonds, current_obs, diamagnetic_obs, \
     paramagnetic_partner_obs
@@ -96,9 +96,9 @@ def test_bit_assembly_equals_dense_strings(case):
     assert np.array_equal(h, dense_quadratic(dense, rep.dim, box, one)
                           + dense_interaction(dense, rep.dim, box, ip))
 
-    a = rescale(flat_pulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
+    a = rescale(FlatPulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
     # plateau edge at 0.75: some bonds lie only partly on the plateau
-    straddle = rescale(flat_pulse(box.dim, np.linspace(1, 0.5, box.dim), 0, 1, halfwidth=0.5),
+    straddle = rescale(FlatPulse(box.dim, np.linspace(1, 0.5, box.dim), 0, 1, halfwidth=0.5),
                        1.5, 0.3)
     assert any(0 < straddle._plateau_fraction(*b) < 1 for b in box.bonds)
     for field in (a, straddle):
@@ -143,7 +143,7 @@ def test_w_memoised_bond_data_never_stale():
         omega = DisorderDistribution("iid-uniform", seed).sample(box)
         dense = functools.cache(lambda x, y, rep=rep: dense_bilinear(rep, x, y))
         systems.append((box, rep, omega, dense, build_hopping(box, omega, theta)))
-    pulses = {dim: [rescale(flat_pulse(dim, np.linspace(1.0, 0.5, dim), 0.0, 1.0,
+    pulses = {dim: [rescale(FlatPulse(dim, np.linspace(1.0, 0.5, dim), 0.0, 1.0,
                                        halfwidth=0.5), l, 0.3) for l in (1.5, 3.0)]
               for dim in (1, 2)}
     for box in (chain, rect):
@@ -165,7 +165,7 @@ def test_bond_sums_equal_single_bond_sums(case):
     rep = FockRep(order)
     dense = functools.cache(lambda x, y: dense_bilinear(rep, x, y))
     hop = build_hopping(box, omega, theta)
-    a = rescale(flat_pulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
+    a = rescale(FlatPulse(box.dim, np.eye(box.dim)[0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.3)
 
     def dia_obs(rep, box, bonds, omega, theta):
         return diamagnetic_obs(rep, box, bonds, omega, theta, a, 0.37)

@@ -5,13 +5,12 @@ from scipy.linalg import expm
 from fermicond.equilibrium import (ConditioningWarning, DiagonalizationError,
                                    GibbsState, OverlappingSupportsError,
                                    SpectralData, StepSizeError, drive_layout, duhamel,
-                                   evolve,
-                                   gibbs, heisenberg, imaginary_time,
+                                   evolve, heisenberg, imaginary_time,
                                    lieb_robinson_check, richardson_drive_check,
                                    step_unitary, work_functional, _CF4_A, _CF4_C,
                                    _simpson_weights)
 from fermicond.fock import opnorm_mat, sector_layout
-from fermicond.model import (DecayFunction, InterparticleInteraction, build_w, flat_pulse,
+from fermicond.model import (DecayFunction, FlatPulse, InterparticleInteraction, build_w,
                              full_interaction_norm, rescale)
 
 from conftest import make_system, nn_interaction, random_local
@@ -44,7 +43,7 @@ def test_spectral_rejects_defect_just_above_spectral_threshold():
 
 
 def test_gibbs_trace_state():
-    st = gibbs(np.zeros((8, 8)), 1.0)
+    st = GibbsState.of(SpectralData.from_hamiltonian(np.zeros((8, 8))), 1.0)
     assert np.allclose(st.density, np.eye(8) / 8)
     # beta = 0 fixture: maximally mixed regardless of H
     sys = make_system(3, "iid-uniform", seed=3)
@@ -208,14 +207,13 @@ def _tail_drive(ip=None, seed=22):
     """6-site density-density chain, a pulse on [0, 1] and a grid past it."""
     sys = make_system(6, "iid-uniform", seed=seed, theta=0.5, lam=1.0,
                       ip=ip or nn_interaction(1.0))
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     return sys, a_base, np.linspace(0.0, 1.5, 31)
 
 
 def _cf4_only(monkeypatch):
-    from fermicond import joule, transport
-    for mod in (joule, transport):
-        monkeypatch.setattr(mod, "free_after_pulse", lambda *args: None)
+    from fermicond import transport
+    monkeypatch.setattr(transport, "free_after_pulse", lambda *args: None)
 
 
 def _driven(sys, a_base, times, state=None):
@@ -223,7 +221,7 @@ def _driven(sys, a_base, times, state=None):
     from fermicond.transport import driven_currents
     state = state or sys["state"]
     args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], sys["lam"], sys["ip"], state)
-    j_p = driven_currents(*args, rescale(a_base, 6.0, 0.25), 0.25, times, 0.04).j_p
+    j_p = driven_currents(*args, rescale(a_base, 6.0, 0.25), times, 0.04).j_p
     tr = energy_increments(*args, a_base, 0.25, 6.0, times, 0.04, warn_margin=False)
     return j_p, tr
 
@@ -323,7 +321,7 @@ def _hubbard_drive(n_sites=6):
     and block generator a driven caller runs it on."""
     sys = make_system(n_sites, "iid-uniform", seed=31, theta=0.3, lam=1.0,
                       ip=InterparticleInteraction("hubbard", U=1.0))
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=float(n_sites)), 2.0, 0.4)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=float(n_sites)), 2.0, 0.4)
     args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], a)
 
     def h_of_t(t):
@@ -429,9 +427,9 @@ def test_passivity_random_cyclic(rng):
 def test_work_equals_total_energy_increment(rng):
     # cross-module oracle: L_t = Ip(t) + Id(t) from the energy-increments route
     from fermicond.joule import energy_increments
-    from fermicond.model import build_w, flat_pulse, rescale
+    from fermicond.model import build_w, FlatPulse, rescale
     sys = make_system(4, "iid-real-hopping", seed=19, theta=0.4, beta=1.0)
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     eta, l = 0.3, 1.0
     a_sc = rescale(a_base, l, eta)
 

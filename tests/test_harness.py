@@ -94,6 +94,9 @@ def test_config_field_level_errors(tmp_path):
     ({"disorder.kind": "iid-uniform", "disorder.seed": 1.5}, "disorder.seed"),
     ({"model.sites": 4.5}, "model.sites"),
     ({"model.d": 2, "model.sites": None, "model.shape": [2, -3]}, "model.shape"),
+    # ran to exit 0 with a decay function F(r) that grows with r
+    ({"model.decay_form": "exponential", "model.decay_sigma": -3}, "model.decay_sigma"),
+    ({"model.decay_sigma": 0.0}, "model.decay_sigma"),
 ])
 def test_config_rejects_what_would_crash_the_run(tmp_path, capsys, overrides, key):
     p = write_config(tmp_path, overrides)
@@ -467,6 +470,33 @@ def test_invariants_experiment(tmp_path, monkeypatch, capsys):
     with open(tmp_path / "inv" / "invariants.csv") as fh:
         detail = {row[0]: row[2] for row in csv.reader(fh)}["passivity-work-functional"]
     assert detail.startswith("min L = ") and float(detail.split("=")[1]) > 0
+
+
+def test_invariants_average_a_chain_on_any_box(tmp_path, monkeypatch):
+    # the battery's disorder average runs on a 4-site d=1 chain whatever box
+    # the config sets: a d=2 config given by 'l' ended in a ConfigError, and
+    # on a 2x3 config the "4-site member" was the whole 2x3 box
+    from fermicond import experiments
+    monkeypatch.setenv("FERMICOND_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(experiments, "DEFAULT_BATTERY", {
+        "sites": (4,), "betas": (1.0,), "thetas": (0.0,), "lambdas": (0.0,),
+        "interactions": ("none",), "n_samples": 2})
+    boxes = []
+    build = experiments.build_system
+
+    def recorded(cfg, index=0, **kwargs):
+        system = build(cfg, index, **kwargs)
+        boxes.append(system.box.sites)
+        return system
+
+    monkeypatch.setattr(experiments, "build_system", recorded)
+    cube = {"model.d": 2, "model.sites": None, "model.l": 1, "field.w": [1.0, 0.0]}
+    for i, overrides in enumerate((cube, SQUARE_2X3)):
+        boxes.clear()
+        p = write_config(tmp_path, overrides, f"cfg{i}.json")
+        assert main(["run", "invariants", "--config", str(p),
+                     "--out", str(tmp_path / f"inv{i}")]) == 0
+        assert boxes == [((-1,), (0,), (1,), (2,))] * 2
 
 
 def test_registry_complete():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fermicond.equilibrium import _cumulative_simpson, _simpson_weights
-from fermicond.model import bond_phase, flat_pulse, integrated_field, rescale
+from fermicond.model import FlatPulse, bond_phase, integrated_field, rescale
 from fermicond.transport import paramagnetic_partner_obs
 from fermicond.joule import (correction_term, diamagnetic_density,
                              diamagnetic_density_exact, energy_increments,
@@ -14,10 +14,10 @@ from fermicond.joule import (correction_term, diamagnetic_density,
 
 from conftest import make_system, nn_interaction
 
-A_BASE = flat_pulse(1, [1.0], t0=0.0, t1=1.0, halfwidth=1.0)
+A_BASE = FlatPulse(1, [1.0], t0=0.0, t1=1.0, halfwidth=1.0)
 W = np.array([1.0])
 # 2x3 box (sites {0, 1} x {-1, 0, 1}), direction (1, 0.5)
-BOX_PULSE = flat_pulse(2, [1.0, 0.5], t0=0.0, t1=1.0, halfwidth=0.5)
+BOX_PULSE = FlatPulse(2, [1.0, 0.5], t0=0.0, t1=1.0, halfwidth=0.5)
 
 
 def bond_kinds(a_l, bonds):

@@ -11,7 +11,7 @@ from fermicond.model import (BoundaryProximityWarning, DecayFunction,
                              InterparticleInteraction,
                              bond_phase, build_hamiltonian, build_hopping, build_w,
                              check_field_margin, decay_checks,
-                             flat_pulse, full_interaction_norm, integrated_field,
+                             FlatPulse, full_interaction_norm, integrated_field,
                              interaction_norm, potential_diagonal,
                              rescale, w_time_derivative)
 
@@ -64,7 +64,7 @@ def test_hopping_covariant_under_translation():
 def test_peierls_zero_field_identity():
     box = Box.chain(4)
     h = build_hopping(box, clean(box), 0.0)
-    a = flat_pulse(1, [1.0], 0.0, 1.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0)
     assert np.array_equal(peierls_hopping(h, box, a, 2.0), h)  # field off
     zero = rescale(a, 1.0, 0.0)
     assert np.allclose(peierls_hopping(h, box, zero, 0.5), h)
@@ -74,7 +74,7 @@ def test_peierls_constant_potential_phase():
     box = Box.chain(3)
     h = build_hopping(box, clean(box), 0.0)
     aval = 0.37
-    a = flat_pulse(1, [aval], 0.0, 1.0, halfwidth=10.0)
+    a = FlatPulse(1, [aval], 0.0, 1.0, halfwidth=10.0)
     assert a(0.5, [0.0])[0] == aval  # env(0.5) = 1 exactly
     hp = peierls_hopping(h, box, a, 0.5)
     i, j = box.index[(0,)], box.index[(1,)]
@@ -94,7 +94,7 @@ def test_peierls_gauge_invariance():
     def phi(x):
         return 0.6 * np.clip(x, -1.5, 1.5)
 
-    a = flat_pulse(1, [0.6], 0.0, 1.0, halfwidth=1.5)
+    a = FlatPulse(1, [0.6], 0.0, 1.0, halfwidth=1.5)
     hp = peierls_hopping(h, box, a, 0.5)
     d = np.diag([np.exp(-1j * phi(x[0])) for x in box.sites])
     oracle = d @ h @ d.conj().T
@@ -102,7 +102,7 @@ def test_peierls_gauge_invariance():
 
 
 def test_electric_field_analytic_vs_fd():
-    a = flat_pulse(1, [1.0], 0.0, 2.0)
+    a = FlatPulse(1, [1.0], 0.0, 2.0)
     for t in (0.3, 0.9, 1.4):
         fd = -(a(t + 1e-5, [0.0]) - a(t - 1e-5, [0.0])) / 2e-5
         an = a.electric(t, [0.0])
@@ -112,16 +112,16 @@ def test_electric_field_analytic_vs_fd():
 
 def test_ac_condition():
     # integral of E over the full pulse vanishes (compact time support)
-    a = flat_pulse(1, [1.0], 0.0, 1.5)
+    a = FlatPulse(1, [1.0], 0.0, 1.5)
     val, _ = quad(lambda s: a.electric(s, np.zeros(1))[0], 0.0, 1.5, limit=200)
     assert abs(val) <= 1e-10
-    a2 = flat_pulse(1, [1.0], 0.0, 1.5, envelope="gauss")
+    a2 = FlatPulse(1, [1.0], 0.0, 1.5, envelope="gauss")
     val2, _ = quad(lambda s: a2.electric(s, np.zeros(1))[0], 0.0, 1.5, limit=200)
     assert abs(val2) <= 1e-6  # gauss envelope is truncated at ~1e-7 amplitude
 
 
 def test_integrated_field_flat_pulse():
-    a = flat_pulse(1, [1.0], 0.0, 1.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0)
     t = 0.25
     eps = a.electric(t, np.zeros(1))[0]
     # along +e1 the integrated field is exactly eps; reversed bond flips sign
@@ -130,7 +130,7 @@ def test_integrated_field_flat_pulse():
 
 
 def test_rescale():
-    a = flat_pulse(1, [1.0], 0.0, 1.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0)
     same = rescale(a, 1.0, 1.0)
     assert np.allclose(same(0.4, [0.3]), a(0.4, [0.3]))
     big = rescale(a, 3.0, 1.0)
@@ -144,7 +144,7 @@ def test_rescale():
 
 
 def test_bond_phase_antisymmetry():
-    a = flat_pulse(1, [1.0], 0.0, 1.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0)
     assert abs(bond_phase(a, 0.3, (0,), (1,)) + bond_phase(a, 0.3, (1,), (0,))) <= 1e-12
 
 
@@ -183,7 +183,7 @@ def _bond_kind(a, x, y):
 ], ids=["chain8", "box2x3", "box2x3-face", "chain8-narrow"])
 def test_closed_form_phase_and_field_vs_quadrature(box, halfwidth, w, edge_kind, l,
                                                    envelope):
-    a = rescale(flat_pulse(box.dim, w, 0.0, 1.0, halfwidth=halfwidth, envelope=envelope),
+    a = rescale(FlatPulse(box.dim, w, 0.0, 1.0, halfwidth=halfwidth, envelope=envelope),
                 l, 0.3)
     kinds = set()
     for t in (-0.2, 0.0, 0.13, 0.5, 0.77, 1.0, 1.3):
@@ -211,7 +211,7 @@ def test_closed_form_phase_and_field_vs_quadrature(box, halfwidth, w, edge_kind,
 
 def test_field_margin_warning():
     box = Box.chain(5)
-    a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=2.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=2.0)
     with pytest.warns(BoundaryProximityWarning):
         check_field_margin(a, box, InterparticleInteraction("none"))
 
@@ -280,7 +280,7 @@ def test_build_w_zero_cases():
     box = Box.chain(4)
     rep = FockRep.of_box(box)
     s = clean(box)
-    a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     zero = rescale(a, 1.0, 0.0)
     assert opnorm_mat(build_w(rep, box, s, 0.0, zero, 0.5)) <= 1e-12
     assert np.all(build_w(rep, box, s, 0.0, a, 1.5) == 0.0)  # after t1
@@ -292,7 +292,7 @@ def test_build_w_linear_in_field():
     box = Box.chain(4)
     rep = FockRep.of_box(box)
     s = clean(box)
-    a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     norms = []
     etas = [1e-3, 1e-2, 1e-1]
     for eta in etas:
@@ -305,7 +305,7 @@ def test_w_time_derivative_fd():
     box = Box.chain(4)
     rep = FockRep.of_box(box)
     s = clean(box)
-    a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     dw = w_time_derivative(rep, box, s, 0.0, a, 0.5)
     h = 1e-4
     oracle = (build_w(rep, box, s, 0.0, a, 0.5 + h)
@@ -334,6 +334,13 @@ def test_decay_checks_conditions():
     rep_exp = decay_checks(DecayFunction(1, "exponential", epsilon=1.0), box)
     assert rep_exp["meets_2d"] and rep_exp["meets_3d"]
     assert rep_poly["convolution_constant"] >= 1.0
+
+
+@pytest.mark.parametrize("sigma", [-3.0, 0.0])
+def test_decay_rejects_a_nonpositive_rate(sigma):
+    # exp(-sigma r) with sigma <= 0 does not decay
+    with pytest.raises(ValueError, match="sigma"):
+        DecayFunction(1, "exponential", sigma=sigma)
 
 
 def test_interaction_norm_none_and_hubbard():

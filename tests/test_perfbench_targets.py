@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fermicond import transport
-from fermicond.model import InterparticleInteraction, flat_pulse, rescale
+from fermicond.model import FlatPulse, InterparticleInteraction, rescale
 from fermicond.transport import TransportKernel
 
 from conftest import make_system
@@ -67,10 +67,10 @@ def test_driven_path_builds_only_what_it_reports(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(transport, name, counted)
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
     tr = transport.driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
                                    InterparticleInteraction("none"), sys["state"],
-                                   a, 0.05, np.linspace(0.0, 1.2, 7), 0.05)
+                                   a, np.linspace(0.0, 1.2, 7), 0.05)
     assert tr.j_p.shape == (7, 1)
     assert calls["build_w"] > 0 and calls["current_obs"] > 0
     assert calls["diamagnetic_obs"] == 0
@@ -92,11 +92,11 @@ def test_driven_path_steps_only_inside_the_pulse(monkeypatch):
 
     counted(equilibrium, "step_unitary")
     counted(transport, "build_w")
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
     times, dt = np.linspace(0.0, 1.6, 9), 0.07  # gaps of 0.2: 3 steps each
     transport.driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
                               InterparticleInteraction("none"), sys["state"],
-                              a, 0.05, times, dt)
+                              a, times, dt)
     inside = sum(int(np.ceil((tb - ta) / dt - 1e-12))
                  for ta, tb in zip(times[:-1], times[1:]) if ta < a.t1)
     assert inside == 15 and calls["step_unitary"] == inside

@@ -25,7 +25,7 @@ from fermicond.experiments import DEFAULT_BATTERY
 from fermicond.fock import FockRep, commutator, opnorm_mat, sector_layout
 from fermicond.lattice import Box, DisorderDistribution, shift
 from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_w,
-                             flat_pulse, rescale)
+                             FlatPulse, rescale)
 from fermicond.transport import TransportKernel, current_obs
 
 TOL = 1e-12
@@ -161,7 +161,7 @@ def test_sector_kernel_atoms(label):
 def _drive(sys, layout=None):
     """t -> H + W_t for a pulse over the whole chain: dense, or with a layout
     the tuple of its blocks, as the driven callers build it."""
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=6.0), 2.0, 0.4)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=6.0), 2.0, 0.4)
     args = (sys["rep"], sys["box"], sys["omega"], sys["theta"], a)
     if layout is None:
         return lambda t: sys["h"] + build_w(*args, t)
@@ -198,7 +198,7 @@ def _pulsed_chain(n_sites):
     ip = InterparticleInteraction("density-density", U=1.0, v=lambda r: 1.0, range_=1)
     h = build_hamiltonian(rep, box, omega, 0.5, 1.0, ip)
     state = GibbsState.of(SpectralData.from_hamiltonian(h), 1.0)
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), float(n_sites), 0.04)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), float(n_sites), 0.04)
     return rep, box, omega, ip, h, state, a
 
 
@@ -257,12 +257,12 @@ def test_driven_path_scans_a_fixed_number_of_times(monkeypatch):
     monkeypatch.setattr(fock, "sector_layout", scan)
     monkeypatch.setattr(equilibrium, "sector_layout", scan)
     monkeypatch.setattr(equilibrium, "step_unitary", counted("steps", equilibrium.step_unitary))
-    base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     times = np.linspace(0.0, 1.5, 16)
     seen = set()
     for dt in (0.1, 0.05, 0.02):
         calls.update(scans=0, steps=0)
-        driven_currents(rep, box, omega, 0.5, 1.0, ip, state, a, 0.04, times, dt)
+        driven_currents(rep, box, omega, 0.5, 1.0, ip, state, a, times, dt)
         energy_increments(rep, box, omega, 0.5, 1.0, ip, state, base, 0.04, 6.0, times, dt,
                           warn_margin=False)
         assert calls["steps"] > 0
@@ -298,8 +298,8 @@ def test_number_conserving_paths_build_no_dense_u(tmp_path, monkeypatch):
     first, last = (box.sites[1], box.sites[0]), (box.sites[5], box.sites[4])
     kernel.sigma_p(first, last, times)
     kernel.sigma_d(first)
-    ip, base = cfg.model.ip(), flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
-    driven_currents(rep, box, omega, 0.5, 1.0, ip, state, rescale(base, 6.0, 0.04), 0.04,
+    ip, base = cfg.model.ip(), FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    driven_currents(rep, box, omega, 0.5, 1.0, ip, state, rescale(base, 6.0, 0.04),
                     times, 0.05)
     energy_increments(rep, box, omega, 0.5, 1.0, ip, state, base, 0.04, 6.0, times, 0.05,
                       warn_margin=False)

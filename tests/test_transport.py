@@ -7,7 +7,7 @@ from fermicond.equilibrium import GibbsState, SpectralData, duhamel, heisenberg,
 from fermicond.fock import FockRep, is_even, opnorm_mat, time_reversal
 from fermicond.lattice import Box, DisorderDistribution, shift
 from fermicond.model import (InterparticleInteraction, build_hamiltonian, build_hopping,
-                             flat_pulse, rescale)
+                             FlatPulse, rescale)
 from fermicond.transport import (NotABondError, TransportKernel,
                                  current_obs, diamagnetic_obs, disorder_average,
                                  driven_currents, fluctuation, green_kubo_residual,
@@ -60,7 +60,7 @@ def test_time_reversal_flips_current_real_hopping():
 
 def test_diamagnetic_obs_zero_cases():
     sys = make_system(4, "deterministic-zero", seed=0)
-    a = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
+    a = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0)
     zero = rescale(a, 1.0, 0.0)
     bond = ((1,), (0,))
     assert opnorm_mat(diamagnetic_obs(sys["rep"], sys["box"], [bond], sys["omega"], 0.0,
@@ -74,7 +74,7 @@ def test_diamagnetic_obs_small_field_expansion():
     sys = make_system(4, "iid-uniform", seed=3, theta=0.5)
     from fermicond.model import bond_phase
     bond = ((1,), (0,))
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=4.0), 1.0, 2.5e-4)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=4.0), 1.0, 2.5e-4)
     t = 0.5
     arg = bond_phase(a, t, bond[0], bond[1])
     assert 0 < abs(arg) < 1e-3
@@ -261,20 +261,20 @@ def test_bond_currents_nonzero_with_flux():
 
 def test_driven_currents_trivial_cases():
     sys = make_system(4, "iid-uniform", seed=9)
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 4.0, 0.05)
     times = np.linspace(0.0, 1.2, 7)
     tr0 = driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
                           InterparticleInteraction("none"), sys["state"],
-                          a, 0.0, times, 0.05)
+                          rescale(a, 1.0, 0.0), times, 0.05)
     assert np.all(tr0.j_p == 0.0)
     tr = driven_currents(sys["rep"], sys["box"], sys["omega"], 0.0, 0.0,
                          InterparticleInteraction("none"), sys["state"],
-                         a, 0.05, times, 0.05)
+                         a, times, 0.05)
     assert np.abs(tr.j_p[0]).max() <= 1e-12  # t = t0
 
 
 def _ohm_scan(sys, etas, times, dt=0.01):
-    a_base = flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0)
     w = np.array([1.0])
     from fermicond.transport import pulse_efield_and_integral
     efield, eint = pulse_efield_and_integral(a_base, w)
@@ -284,7 +284,7 @@ def _ohm_scan(sys, etas, times, dt=0.01):
         # field flat across every bond of the chain
         a_sc = rescale(a_base, float(len(sys["box"])), eta)
         tr = driven_currents(sys["rep"], sys["box"], sys["omega"], sys["theta"], 0.0,
-                             sys["ip"], sys["state"], a_sc, eta, times, dt)
+                             sys["ip"], sys["state"], a_sc, times, dt)
         finals[eta] = tr.j_p[:, 0]
     return j_lin, j_d_lin, finals
 
@@ -356,7 +356,7 @@ def test_continuity_equation():
     sys = make_system(5, "iid-uniform", seed=13, theta=0.4, lam=0.8,
                       ip=nn_interaction(0.6))
     box, rep, omega = sys["box"], sys["rep"], sys["omega"]
-    a = rescale(flat_pulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.4)
+    a = rescale(FlatPulse(1, [1.0], 0.0, 1.0, halfwidth=1.0), 2.0, 0.4)
     from fermicond.model import build_w
     h0 = build_hamiltonian(rep, box, omega, 0.4, 0.8, nn_interaction(0.6))
 
@@ -390,7 +390,7 @@ def test_ohm_d2_transpose_convolution():
     # kernel; the plain form differs by the antisymmetric part
     sys = make_system(shape=(2, 3), d=2, kind="iid-uniform", seed=8, theta=0.9)
     w = np.array([1.0, 0.0])
-    a_base = flat_pulse(2, w, 0.0, 1.0, halfwidth=1.0)
+    a_base = FlatPulse(2, w, 0.0, 1.0, halfwidth=1.0)
     times = np.linspace(0.0, 1.4, 71)
     from fermicond.transport import pulse_efield_and_integral
     efield, eint = pulse_efield_and_integral(a_base, w)
@@ -401,7 +401,7 @@ def test_ohm_d2_transpose_convolution():
     a_sc = rescale(a_base, 8.0, eta)  # flat across the whole box
     tr = driven_currents(sys["rep"], sys["box"], sys["omega"], 0.9, 0.0,
                          InterparticleInteraction("none"), sys["state"],
-                         a_sc, eta, times, 0.01)
+                         a_sc, times, 0.01)
     dj = tr.j_p / eta
     assert np.abs(dj - j_trans).max() <= 1e-4
     # the distinction is real: [Xi]_- is O(1e-2) for this flux-carrying sample
